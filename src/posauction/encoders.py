@@ -14,6 +14,7 @@ tables and contribute no tokens anywhere else.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -234,6 +235,13 @@ def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec,
     ``permutation`` option weighs subsets as a uniform random order of the
     tied block instead.  The bidder pays the argmax price only when every
     tied rival ranks above it (it sits at the bottom of its block).
+
+    The tables are evaluated per bidder (see :func:`_gim_utilities`): a
+    lottery term's click weight depends only on the bidder and the (tied,
+    above) rival masks, so each term is one numpy operation over every bid
+    and price index at once.  The terms of a cell are summed in the same
+    lottery order as a scalar per-cell evaluation would sum them, which
+    makes every cell the same IEEE result, bit for bit.
     """
     n, k_max = setting.n, mech.k_max
     w = apply_weight_rule(setting, mech)
@@ -256,23 +264,38 @@ def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec,
             row.append(len(nodes) - 1)
         agents.append(row)
 
+    # a bidder's slots rise with its bid (weights are positive), so the bids
+    # of rival j tied with slot t, or above it, are contiguous runs of its
+    # positive bids
+    bid_arcs = [[(agents[j][kk], None) for kk in range(1, k_max + 1)] for j in range(n)]
+    bid_slots = [ebi.index[j, 1:].tolist() for j in range(n)]
+    by_slot: dict[int, list[tuple[int, None]]] = {}
+    for j in range(n):
+        for arc, t in zip(bid_arcs[j], bid_slots[j]):
+            by_slot.setdefault(t, []).append(arc)
+
     present = {}
     for t in range(1, T):
-        arcs = [(agents[i][k], None) for i in range(n) for k in range(1, k_max + 1)
-                if ebi.index[i, k] == t]
-        nodes.append(Node(OR, in_arcs=arcs, label=f"present@{ebi.values[t]:g}"))
+        nodes.append(Node(OR, in_arcs=by_slot[t], label=f"present@{ebi.values[t]:g}"))
         present[t] = len(nodes) - 1
     pm = {}
     if gsp:
+        price_arcs = [(present[u], float(ebi.values[u])) for u in range(1, T)]
         for t in range(1, T):
-            arcs = [(present[u], float(ebi.values[u])) for u in range(1, t)]
-            nodes.append(Node(ARGMAX, in_arcs=arcs, label=f"price@{ebi.values[t]:g}"))
+            nodes.append(Node(ARGMAX, in_arcs=price_arcs[:t - 1],
+                              label=f"price@{ebi.values[t]:g}"))
             pm[t] = len(nodes) - 1
 
     tables: dict[int, object] = {}
     r_count = n - 1
     for i in range(n):
         rivals = [j for j in range(n) if j != i]
+        prices = None
+        if gsp:
+            prices = np.array([rounded_price(float(ebi.values[r]), float(w[i]),
+                                             mech.rounding)
+                               for r in range(int(ebi.index[i].max()))], dtype=float)
+        util = _gim_utilities(setting, i, mech, prices)
         for k in range(k_max + 1):
             node_id = agents[i][k]
             if k == 0:
@@ -281,88 +304,100 @@ def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec,
             t = int(ebi.index[i, k])
             arcs: list[tuple[int, float | None]] = []
             for j in rivals:
-                srcs = [(agents[j][kk], None) for kk in range(1, k_max + 1)
-                        if ebi.index[j, kk] == t]
-                nodes.append(Node(OR, in_arcs=srcs, label=f"tied({i},{k})<-{j}"))
+                lo = bisect.bisect_left(bid_slots[j], t)
+                hi = bisect.bisect_right(bid_slots[j], t, lo)
+                nodes.append(Node(OR, in_arcs=bid_arcs[j][lo:hi],
+                                  label=f"tied({i},{k})<-{j}"))
                 arcs.append((len(nodes) - 1, None))
             for j in rivals:
-                srcs = [(agents[j][kk], None) for kk in range(1, k_max + 1)
-                        if ebi.index[j, kk] > t]
-                nodes.append(Node(OR, in_arcs=srcs, label=f"over({i},{k})<-{j}"))
+                hi = bisect.bisect_right(bid_slots[j], t)
+                nodes.append(Node(OR, in_arcs=bid_arcs[j][hi:],
+                                  label=f"over({i},{k})<-{j}"))
                 arcs.append((len(nodes) - 1, None))
             if gsp:
                 arcs.append((pm[t], None))
             nodes[node_id].in_arcs = arcs
 
-            prices = (np.array([rounded_price(float(ebi.values[r]), float(w[i]),
-                                              mech.rounding) for r in range(t)])
-                      if gsp else None)
+            # rank 0 is the most significant bit of both mask axes
             dims = (2,) * (2 * r_count) + ((t,) if gsp else ())
-            data = np.full(dims, np.nan)
-            for tied in range(1 << r_count):
-                bits_t = tuple(tied >> r & 1 for r in range(r_count))
-                for above in range(1 << r_count):
-                    if tied & above:
-                        continue  # a rival cannot both tie and rank above
-                    bits = bits_t + tuple(above >> r & 1 for r in range(r_count))
-                    if gsp:
-                        for r in range(t):
-                            data[bits + (r,)] = _gim_cell(
-                                setting, i, k, tied, above, float(prices[r]), mech, lex)
-                    else:
-                        data[bits] = _gim_cell(setting, i, k, tied, above,
-                                               float(k), mech, lex)
-            tables[node_id] = ConfigTable(dims, (0,) * len(dims), data)
+            block = util[k - 1, :, :, :t] if gsp else util[k - 1, :, :, 0]
+            tables[node_id] = ConfigTable(dims, (0,) * len(dims),
+                                          block.reshape(dims).copy())
 
     meta = EncoderMeta("gim", mech.family, ebi.index, T)
     return ActionGraphGame(agents, nodes, tables, meta=meta)
 
 
-def _gim_cell(setting: GimSetting, i: int, k: int, tied: int, above: int,
-              bottom_price: float, mech: MechanismSpec, lex: bool) -> float:
-    """Expected utility of bidder i bidding k with the given rival masks."""
+def _gim_utilities(setting: GimSetting, i: int, mech: MechanismSpec,
+                   prices: np.ndarray | None) -> np.ndarray:
+    """Expected utilities of bidder i over (bid - 1, tied code, above code,
+    price index); NaN where a rival would both tie and rank above.
+
+    A mask code puts rival rank 0 in its most significant bit.  ``prices``
+    holds the rounded price per argmax index (None under first price, where
+    the bottom of a tied block pays its own bid and the last axis has
+    length one).  Each lottery term of a cell is (prob * clicks) * (v -
+    price): its weight is a scalar of the masks and its price factor a
+    vector over the bids, or over the price indices for the bottom term.
+    """
+    k_max = mech.k_max
+    lex = mech.tie_rule == "lexicographic"
+    r_count = setting.n - 1
+    side = 1 << r_count
     rivals = setting.rivals(i)
-    tied_ranks = [r for r in range(len(rivals)) if tied >> r & 1]
-    ell = len(tied_ranks)
     q = float(setting.qualities[i])
     v = float(setting.values[i])
     f = setting.externality[i]
+    own = v - np.arange(1, k_max + 1, dtype=float)
+    paid = None if prices is None else v - prices
+    width = 1 if prices is None else len(prices)
+    code = [sum((mask >> b & 1) << (r_count - 1 - b) for b in range(r_count))
+            for mask in range(side)]
+    util = np.full((k_max, side, side, width), np.nan)
 
-    def term(sub_mask: int, prob: float, is_bottom: bool) -> float:
-        full = above | sub_mask
+    def weight(full: int, prob: float) -> float:
         pos = bin(full).count("1") + 1
         clicks = q * float(f[full]) if pos <= setting.m else 0.0
-        price = bottom_price if is_bottom else float(k)
-        return prob * clicks * (v - price)
+        return prob * clicks
 
-    if lex:
-        sub = 0
-        for r in tied_ranks:
-            if rivals[r] < i:
-                sub |= 1 << r
-        is_bottom = all(rivals[r] < i for r in tied_ranks)
-        return term(sub, 1.0, is_bottom)
-
-    total = 0.0
-    if mech.gim_tie_lottery == "independent":
-        base = 1.0 / (1 << ell)
-        for choice in range(1 << ell):
-            sub = 0
-            for b, r in enumerate(tied_ranks):
-                if choice >> b & 1:
-                    sub |= 1 << r
-            total += term(sub, base, choice == (1 << ell) - 1)
-    else:
-        for choice in range(1 << ell):
-            s = bin(choice).count("1")
-            prob = (math.factorial(s) * math.factorial(ell - s)
-                    / math.factorial(ell + 1))
-            sub = 0
-            for b, r in enumerate(tied_ranks):
-                if choice >> b & 1:
-                    sub |= 1 << r
-            total += term(sub, prob, choice == (1 << ell) - 1)
-    return total
+    for tied in range(side):
+        tied_ranks = [r for r in range(r_count) if tied >> r & 1]
+        ell = len(tied_ranks)
+        if lex:
+            lex_sub = sum(1 << r for r in tied_ranks if rivals[r] < i)
+        else:
+            # choice bit b ranks the b-th tied rival above; the last choice
+            # puts the bidder at the bottom of its block
+            choices = range(1 << ell)
+            subs = [sum(1 << r for b, r in enumerate(tied_ranks) if choice >> b & 1)
+                    for choice in choices]
+            if mech.gim_tie_lottery == "independent":
+                probs = [1.0 / (1 << ell)] * len(choices)
+            else:
+                probs = [math.factorial(s) * math.factorial(ell - s) / math.factorial(ell + 1)
+                         for s in (bin(choice).count("1") for choice in choices)]
+        for above in range(side):
+            if tied & above:
+                continue  # a rival cannot both tie and rank above
+            cell = util[:, code[tied], code[above], :]
+            if lex:
+                # deterministic rank: bottom of the block iff every tied
+                # rival has a smaller id
+                c = weight(above | lex_sub, 1.0)
+                if paid is not None and lex_sub == tied:
+                    cell[:] = c * paid
+                else:
+                    cell[:] = (c * own)[:, None]
+                continue
+            total = np.zeros(k_max)
+            for sub, prob in zip(subs[:-1], probs[:-1]):
+                total = total + weight(above | sub, prob) * own
+            c = weight(above | subs[-1], probs[-1])
+            if paid is None:
+                cell[:] = (total + c * own)[:, None]
+            else:
+                cell[:] = total[:, None] + c * paid
+    return util
 
 
 def encode(setting: Setting, mech: MechanismSpec, **kwargs) -> ActionGraphGame:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -440,6 +441,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
             cell_dir = os.path.join(out_dir, f"{param}={value}")
             os.makedirs(cell_dir, exist_ok=True)
         for dist_index, dist_name in enumerate(cfg.distributions):
+            started = time.perf_counter()
             ddir = os.path.join(cell_dir, dist_name)
             os.makedirs(os.path.join(ddir, "instances"), exist_ok=True)
             tasks = [(cfg, dist_name, dist_index, i, n, m, k)
@@ -490,8 +492,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
                 _write_relations(os.path.join(ddir, f"relations_{metric}"), metric,
                                  [e[0] for e in entities], rels, num_tests, cfg.alphas)
             if progress is not None:
+                rate = len(records) / max(time.perf_counter() - started, 1e-9)
                 progress(f"{cell_dir}: {dist_name} done "
-                         f"({len(good)}/{cfg.instances} instances)")
+                         f"({len(good)}/{cfg.instances} instances, {rate:.2f}/s)")
 
     if report.failures:
         with open(os.path.join(out_dir, "failures.json"), "w") as fh:

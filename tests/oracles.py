@@ -2,15 +2,20 @@
 
 Everything here deliberately avoids the action-graph path (and, for the
 equilibrium oracle, the solver): payoffs come from the direct simulator and
-search is exhaustive.
+search is exhaustive.  The externality tables have a scalar reference too:
+:func:`gim_reference_tables` fills them one cell and one lottery term at a
+time.
 """
 
 import itertools
+import math
 
 import numpy as np
 
-from posauction.mechanisms import simulate_outcome
-from posauction.models import AuctionSetting
+from posauction.encoders import effective_bid_index
+from posauction.mechanisms import (MechanismSpec, apply_weight_rule, rounded_price,
+                                   simulate_outcome)
+from posauction.models import AuctionSetting, GimSetting
 
 
 def normal_form(setting, mech, allowed):
@@ -56,3 +61,87 @@ def brute_force_assignment_welfare(setting: AuctionSetting):
             for slots in itertools.permutations(positions, size):
                 best = max(best, sum(gain[a, s] for a, s in zip(agents, slots)))
     return best
+
+
+def gim_cell(setting: GimSetting, i: int, k: int, tied: int, above: int,
+             bottom_price: float, mech: MechanismSpec, lex: bool) -> float:
+    """Expected utility of bidder i bidding k with the given rival masks,
+    one lottery term at a time."""
+    rivals = setting.rivals(i)
+    tied_ranks = [r for r in range(len(rivals)) if tied >> r & 1]
+    ell = len(tied_ranks)
+    q = float(setting.qualities[i])
+    v = float(setting.values[i])
+    f = setting.externality[i]
+
+    def term(sub_mask: int, prob: float, is_bottom: bool) -> float:
+        full = above | sub_mask
+        pos = bin(full).count("1") + 1
+        clicks = q * float(f[full]) if pos <= setting.m else 0.0
+        price = bottom_price if is_bottom else float(k)
+        return prob * clicks * (v - price)
+
+    if lex:
+        sub = 0
+        for r in tied_ranks:
+            if rivals[r] < i:
+                sub |= 1 << r
+        is_bottom = all(rivals[r] < i for r in tied_ranks)
+        return term(sub, 1.0, is_bottom)
+
+    total = 0.0
+    if mech.gim_tie_lottery == "independent":
+        base = 1.0 / (1 << ell)
+        for choice in range(1 << ell):
+            sub = 0
+            for b, r in enumerate(tied_ranks):
+                if choice >> b & 1:
+                    sub |= 1 << r
+            total += term(sub, base, choice == (1 << ell) - 1)
+    else:
+        for choice in range(1 << ell):
+            s = bin(choice).count("1")
+            prob = (math.factorial(s) * math.factorial(ell - s)
+                    / math.factorial(ell + 1))
+            sub = 0
+            for b, r in enumerate(tied_ranks):
+                if choice >> b & 1:
+                    sub |= 1 << r
+            total += term(sub, prob, choice == (1 << ell) - 1)
+    return total
+
+
+def gim_reference_tables(setting: GimSetting, mech: MechanismSpec):
+    """Per (bidder, positive bid) the (dims, data) of the externality
+    encoder's utility table, filled one cell at a time with
+    :func:`gim_cell`; NaN marks the cells where a rival would both tie and
+    rank above."""
+    n, k_max = setting.n, mech.k_max
+    w = apply_weight_rule(setting, mech)
+    ebi = effective_bid_index(w, k_max)
+    gsp = mech.family == "gsp"
+    lex = mech.tie_rule == "lexicographic"
+    r_count = n - 1
+    out = {}
+    for i in range(n):
+        for k in range(1, k_max + 1):
+            t = int(ebi.index[i, k])
+            prices = [rounded_price(float(ebi.values[r]), float(w[i]), mech.rounding)
+                      for r in range(t)]
+            dims = (2,) * (2 * r_count) + ((t,) if gsp else ())
+            data = np.full(dims, np.nan)
+            for tied in range(1 << r_count):
+                bits_t = tuple(tied >> r & 1 for r in range(r_count))
+                for above in range(1 << r_count):
+                    if tied & above:
+                        continue
+                    bits = bits_t + tuple(above >> r & 1 for r in range(r_count))
+                    if gsp:
+                        for r in range(t):
+                            data[bits + (r,)] = gim_cell(setting, i, k, tied, above,
+                                                         float(prices[r]), mech, lex)
+                    else:
+                        data[bits] = gim_cell(setting, i, k, tied, above, float(k),
+                                              mech, lex)
+            out[i, k] = dims, data
+    return out

@@ -10,6 +10,8 @@ from posauction.mechanisms import MechanismSpec, simulate_outcome
 from posauction.models import (AuctionSetting, DistributionSpec, GimSetting,
                                normalize_setting, sample_setting)
 
+from oracles import gim_reference_tables
+
 EOS_PAIR = AuctionSetting("eos", 2,
                           values=np.array([[10.0, 10.0], [4.0, 4.0]]),
                           clicks=np.array([[0.5, 0.25], [0.5, 0.25]]),
@@ -195,3 +197,25 @@ def test_gsp_tables_grow_at_most_quadratically_in_k():
                                             k_max=k))
         entries[k] = size_stats(game)["total_table_entries"]
     assert entries[20] / entries[10] <= 4.5
+
+
+def test_gim_tables_equal_per_cell_reference():
+    # every table cell, NaN hole and sign of zero as the scalar reference
+    # computes it, over all tie, rounding and lottery options
+    mechs = [MechanismSpec(family=fam, weight_rule=wr, tie_rule=tie, rounding=rnd,
+                           k_max=3, gim_tie_lottery=lot)
+             for fam, wr in (("gfp", "unit"), ("gsp", "unit"), ("gsp", "quality"))
+             for tie in ("uniform", "lexicographic")
+             for rnd in ("up", "down", "nearest", "up_plus_one")
+             for lot in ("independent", "permutation")]
+    for name in ("cascade-uni", "hybrid-ln", "gim-uni"):
+        for n in (2, 3, 4):
+            s = normalize_setting(sample_setting(DistributionSpec.from_name(name), n, n - 1,
+                                                 rng=np.random.default_rng(n)), 3)
+            for mech in mechs:
+                game = encode_gim_gsp(s, mech)
+                for (i, k), (dims, data) in gim_reference_tables(s, mech).items():
+                    table = game.tables[game.agents[i][k]]
+                    assert table.dims == dims and table.lo == (0,) * len(dims)
+                    assert np.array_equal(table.data, data, equal_nan=True)
+                    assert np.array_equal(np.signbit(table.data), np.signbit(data))
