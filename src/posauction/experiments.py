@@ -109,6 +109,12 @@ class ExperimentConfig:
             problems.append("n, m, k and instances must be at least 1")
         if self.sweep is not None and self.sweep[0] not in ("k", "n", "m"):
             problems.append("sweep parameter must be one of k, n, m")
+        if self.resamples < 1:
+            problems.append("resamples must be at least 1")
+        if not self.alphas or not all(0.0 < a <= 1.0 for a in self.alphas):
+            problems.append("alphas must be significance levels in (0, 1]")
+        elif any(a <= b for a, b in zip(self.alphas, self.alphas[1:])):
+            problems.append("alphas must be strictly decreasing, loosest first")
         return problems
 
 

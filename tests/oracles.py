@@ -4,7 +4,8 @@ Everything here deliberately avoids the action-graph path (and, for the
 equilibrium oracle, the solver): payoffs come from the direct simulator and
 search is exhaustive.  The externality tables have a scalar reference too:
 :func:`gim_reference_tables` fills them one cell and one lottery term at a
-time.
+time.  Bootstrap relations have one in :func:`classify_pair_reference`,
+which sorts every test's resample means and reads the quantiles.
 """
 
 import itertools
@@ -16,6 +17,7 @@ from posauction.encoders import effective_bid_index
 from posauction.mechanisms import (MechanismSpec, apply_weight_rule, rounded_price,
                                    simulate_outcome)
 from posauction.models import AuctionSetting, GimSetting
+from posauction.stats import PairRelation
 
 
 def normal_form(setting, mech, allowed):
@@ -145,3 +147,64 @@ def gim_reference_tables(setting: GimSetting, mech: MechanismSpec):
                                               mech, lex)
             out[i, k] = dims, data
     return out
+
+
+def _reference_quantile(sorted_means: np.ndarray, alpha: float) -> float:
+    """Order statistic at the ceiling index of alpha * resamples (1-based)."""
+    r = len(sorted_means)
+    idx = max(math.ceil(alpha * r), 1) - 1
+    return float(sorted_means[idx])
+
+
+def stars_reference(diffs: np.ndarray, idx: np.ndarray, alphas) -> int:
+    """0 if not significant at alphas[0]; else 1 + (significant at each
+    further, stricter level).  A directed claim needs a strictly positive
+    estimated difference: all-zero differences support no direction."""
+    if not diffs.mean() > 0.0:
+        return 0
+    means = np.sort(diffs[idx].mean(axis=1))
+    stars = 0
+    for a in alphas:
+        if _reference_quantile(means, a) >= 0.0:
+            stars += 1
+        else:
+            break
+    return stars
+
+
+def classify_pair_reference(a, b, alphas=(0.05, 0.01), resamples: int = 20_000,
+                            rng=None) -> PairRelation:
+    """``posauction.stats.classify_pair`` as it reads the quantiles: every
+    component test gathers and sorts all its resample means, in the order
+    robust, selection (min of three), spans (min of two)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape or a.ndim != 3 or a.shape[1:] != (3, 2):
+        raise ValueError("expected aligned (N, 3, 2) interval arrays")
+    if rng is None or not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(rng)
+    n = a.shape[0]
+    idx = rng.integers(0, n, size=(resamples, n))
+
+    def beats(x_lo: np.ndarray, y_hi: np.ndarray) -> int:
+        return stars_reference(x_lo - y_hi, idx, alphas)
+
+    MIN, MED, MAX = 0, 1, 2
+    LO, HI = 0, 1
+
+    for direction, hi_side, lo_side in ((+1, a, b), (-1, b, a)):
+        stars = beats(hi_side[:, MIN, LO], lo_side[:, MAX, HI])
+        if stars:
+            return PairRelation("robust", direction, stars)
+    for direction, hi_side, lo_side in ((+1, a, b), (-1, b, a)):
+        stars = min(beats(hi_side[:, c, LO], lo_side[:, c, HI])
+                    for c in (MIN, MED, MAX))
+        if stars:
+            return PairRelation("selection", direction, stars)
+    # spans: narrow side has the better worst case, wide side the better best
+    for direction, wide, narrow in ((+1, a, b), (-1, b, a)):
+        stars = min(beats(narrow[:, MIN, LO], wide[:, MIN, HI]),
+                    beats(wide[:, MAX, LO], narrow[:, MAX, HI]))
+        if stars:
+            return PairRelation("spans", direction, stars)
+    return PairRelation("incomparable", 0, 0)

@@ -107,6 +107,19 @@ def test_config_validation_errors():
     assert any("continuation" in p for p in cfg.validate())
     with pytest.raises(ValueError):
         run_experiment(cfg, "/tmp/never-used")
+    for resamples in (0, -5):
+        assert any("resamples" in p for p in tiny_config(resamples=resamples).validate())
+    for alphas in ((), (0.05, 0.0), (1.5, 0.01), (-0.05,), (0.05, float("nan"))):
+        assert any("(0, 1]" in p for p in tiny_config(alphas=alphas).validate())
+    for alphas in ((0.01, 0.05), (0.05, 0.05)):
+        assert any("decreasing" in p for p in tiny_config(alphas=alphas).validate())
+    assert tiny_config(alphas=(1.0, 0.05, 0.01)).validate() == []
+
+
+def test_zero_resamples_rejected_before_any_instance_runs(tmp_path):
+    with pytest.raises(ValueError, match="resamples"):
+        run_experiment(tiny_config(resamples=0), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_round_trip():
