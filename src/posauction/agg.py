@@ -19,7 +19,7 @@ configurations; a missing entry is an encoder bug, not a user error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -91,15 +91,18 @@ class ActionGraphGame:
     ``agents[i]`` lists bidder i's action-node ids in action order (for
     encoded auctions, action index == bid amount).  ``tables`` maps each
     action-node id to its utility table (a dict or :class:`ConfigTable`).
-    ``meta`` optionally carries encoder layout hints used by the fast
-    equilibrium scan; all semantics live in the graph itself.
+
+    :meth:`payoffs` gives one bidder's payoff at many profiles at once.  An
+    encoder supplies ``kernel``, a vectorized read of the same tables by the
+    layout it built them in; a game without one evaluates the graph per
+    profile.  All semantics live in the graph itself.
     """
 
     agents: list[list[int]]
     nodes: list[Node]
     tables: dict[int, Mapping]
     name: str = ""
-    meta: object | None = None
+    kernel: Callable[[int, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         self._topo: list[int] | None = None
@@ -107,6 +110,13 @@ class ActionGraphGame:
     @property
     def num_agents(self) -> int:
         return len(self.agents)
+
+    def payoffs(self, i: int, bids: np.ndarray) -> np.ndarray:
+        """Bidder i's payoff at every column of ``bids``, an (agents x
+        profiles) array of action indices."""
+        if self.kernel is not None:
+            return self.kernel(i, bids)
+        return np.array([evaluate_profile(self, col)[i] for col in bids.T], dtype=float)
 
     def topo_order(self) -> list[int]:
         if self._topo is None:
@@ -235,8 +245,7 @@ def payoff_tensors(game: ActionGraphGame, allowed=None) -> list[np.ndarray]:
     """Dense per-bidder payoff arrays over the (restricted) profile grid.
 
     Reference implementation by exhaustive :func:`evaluate_profile`; the
-    solver uses a vectorized path for encoder games and is tested against
-    this one.
+    encoders' vectorized kernels are tested against it.
     """
     import itertools
 

@@ -86,7 +86,7 @@ def main(argv=None) -> int:
             for p in problems:
                 print(f"config error: {p}", file=sys.stderr)
             return 2
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

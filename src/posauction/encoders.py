@@ -64,15 +64,15 @@ def effective_bid_index(weights: np.ndarray, k_max: int,
     return EffectiveBidIndex(values, index)
 
 
-@dataclass(frozen=True)
-class EncoderMeta:
-    """Layout hints for the vectorized equilibrium scan (semantics live in
-    the graph; this only records how configs map to table axes)."""
-
-    kind: str  # "noext-uniform" | "noext-lex" | "gim"
-    family: str
-    eidx: np.ndarray
-    num_values: int
+def _rival_view(slots: np.ndarray, i: int, bids: np.ndarray):
+    """Bidder i's view of the rivals at every column of ``bids``: which
+    rivals (in id order) tie its effective-bid slot and which beat it, and
+    the highest rival slot below its own (0 when there is none)."""
+    taken = np.take_along_axis(slots, bids, axis=1)
+    own = taken[i]
+    rival = np.delete(taken, i, axis=0)
+    rho = np.where(rival < own, rival, 0).max(axis=0, initial=0)
+    return rival == own, rival > own, rho
 
 
 def _extended_rows(setting: AuctionSetting) -> tuple[np.ndarray, np.ndarray]:
@@ -145,67 +145,79 @@ def _encode_no_ext(setting: AuctionSetting, mech: MechanismSpec,
                 nodes.append(Node(SUM, in_arcs=hi_arcs, label=f"eq_hi@{t}/{i}"))
                 eq_side[(t, i, "hi")] = len(nodes) - 1
 
+    # per bidder one array over (bid, config axes..., price index): the
+    # table of bid k is a view of row k, row 0 (no bid) stays zero, and the
+    # price axis spans every slot below the bidder's top bid
     clicks_x, values_x = _extended_rows(setting)
+    ks = np.arange(1, k_max + 1, dtype=float)[:, None, None]
     tables: dict[int, object] = {}
+    stacks = []
     for i in range(n):
-        s1 = np.concatenate([[0.0], np.cumsum(clicks_x[i] * values_x[i])])
-        s2 = np.concatenate([[0.0], np.cumsum(clicks_x[i])])
+        width = int(ebi.index[i, k_max]) if gsp else 1
+        prices = None
+        if gsp:
+            prices = np.array([rounded_price(float(ebi.values[r]), float(w[i]),
+                                             mech.rounding)
+                               for r in range(width)], dtype=float)
+        if not lex:
+            # axes (rival ties, rivals above)
+            ell = np.arange(1, n + 1)[:, None]
+            g = np.arange(n)[None, :]
+            s1 = np.concatenate([[0.0], np.cumsum(clicks_x[i] * values_x[i])])
+            s2 = np.concatenate([[0.0], np.cumsum(clicks_x[i])])
+            stack = np.zeros((k_max + 1, n, n, width))
+            if gsp:
+                mid = (s1[g + ell - 1] - s1[g]) - ks * (s2[g + ell - 1] - s2[g])
+                c_last = clicks_x[i][(g + ell - 1).clip(max=2 * n - 1)]
+                v_last = values_x[i][(g + ell - 1).clip(max=2 * n - 1)]
+                stack[1:] = (mid[..., None]
+                             + (c_last[:, :, None] * (v_last[:, :, None] - prices))
+                             ) / ell[:, :, None]
+            else:
+                stack[1:, :, :, 0] = ((s1[g + ell] - s1[g]) - ks * (s2[g + ell] - s2[g])) / ell
+        else:
+            # axes (tied rivals with smaller id, with larger id, rivals
+            # above): position is g + lo + 1 and only the block's bottom
+            # bidder (no tied rival with larger id) pays rho
+            lo = np.arange(n)[:, None]
+            g = np.arange(n)[None, :]
+            pos0 = (lo + g).clip(max=2 * n - 1)  # 0-based position index
+            c_here = clicks_x[i][pos0]
+            v_here = values_x[i][pos0]
+            own = c_here * (v_here - ks)  # axes (bid, lo, g)
+            stack = np.zeros((k_max + 1, n, n, n, width))
+            stack[1:] = own[:, :, None, :, None]
+            if gsp:
+                stack[1:, :, 0] = c_here[:, :, None] * (v_here[:, :, None] - prices)
+        stacks.append(stack)
+
         for k in range(k_max + 1):
             node_id = agents[i][k]
             if k == 0:
                 tables[node_id] = _zero_table()
                 continue
             t = int(ebi.index[i, k])
-            prices = None
-            if gsp:
-                prices = np.array([rounded_price(float(ebi.values[r]), float(w[i]),
-                                                 mech.rounding)
-                                   for r in range(t)], dtype=float)
-            if not lex:
-                node = nodes[node_id]
-                node.in_arcs = [(eq[t], None), (gt[t], None)]
-                ell = np.arange(1, n + 1)[:, None]
-                g = np.arange(n)[None, :]
-                if gsp:
-                    node.in_arcs.append((pm[t], None))
-                    mid = (s1[g + ell - 1] - s1[g]) - k * (s2[g + ell - 1] - s2[g])
-                    c_last = clicks_x[i][(g + ell - 1).clip(max=2 * n - 1)]
-                    v_last = values_x[i][(g + ell - 1).clip(max=2 * n - 1)]
-                    data = (mid[:, :, None]
-                            + c_last[:, :, None] * (v_last[:, :, None] - prices[None, None, :])
-                            ) / ell[:, :, None]
-                    tables[node_id] = ConfigTable((n, n, t), (1, 0, 0), data)
-                else:
-                    data = ((s1[g + ell] - s1[g]) - k * (s2[g + ell] - s2[g])) / ell
-                    tables[node_id] = ConfigTable((n, n), (1, 0), data)
+            node = nodes[node_id]
+            if lex:
+                node.in_arcs = [(eq_side[(t, i, "lo")], None),
+                                (eq_side[(t, i, "hi")], None), (gt[t], None)]
             else:
-                # deterministic rank within the tied block: position is
-                # g + (tied rivals with smaller id) + 1; only the block's
-                # bottom bidder (no tied rival with larger id) pays rho
-                node = nodes[node_id]
-                lo_id = eq_side[(t, i, "lo")]
-                hi_id = eq_side[(t, i, "hi")]
-                node.in_arcs = [(lo_id, None), (hi_id, None), (gt[t], None)]
-                lo = np.arange(n)[:, None]
-                g = np.arange(n)[None, :]
-                pos0 = (lo + g).clip(max=2 * n - 1)  # 0-based position index
-                c_here = clicks_x[i][pos0]
-                v_here = values_x[i][pos0]
-                own = c_here * (v_here - float(k))  # axes (lo, g)
-                if gsp:
-                    node.in_arcs.append((pm[t], None))
-                    data = np.empty((n, n, n, t))
-                    data[:] = own[:, None, :, None]
-                    data[:, 0, :, :] = (c_here[:, :, None]
-                                        * (v_here[:, :, None] - prices[None, None, :]))
-                    tables[node_id] = ConfigTable((n, n, n, t), (0, 0, 0, 0), data)
-                else:
-                    data = np.broadcast_to(own[:, None, :], (n, n, n)).copy()
-                    tables[node_id] = ConfigTable((n, n, n), (0, 0, 0), data)
+                node.in_arcs = [(eq[t], None), (gt[t], None)]
+            if gsp:
+                node.in_arcs.append((pm[t], None))
+                block = stack[k, ..., :t]
+            else:
+                block = stack[k, ..., 0]
+            # uniform ties count the bidder itself on the tie axis
+            lo_corner = (0 if lex else 1,) + (0,) * (block.ndim - 1)
+            tables[node_id] = ConfigTable(block.shape, lo_corner, block)
 
-    meta = EncoderMeta("noext-lex" if lex else "noext-uniform", mech.family,
-                       ebi.index, T)
-    return ActionGraphGame(agents, nodes, tables, meta=meta)
+    def kernel(i: int, bids: np.ndarray) -> np.ndarray:
+        tied, above, rho = _rival_view(ebi.index, i, bids)
+        ties = (tied[:i].sum(axis=0), tied[i:].sum(axis=0)) if lex else (tied.sum(axis=0),)
+        return stacks[i][(bids[i], *ties, above.sum(axis=0), rho if gsp else 0)]
+
+    return ActionGraphGame(agents, nodes, tables, kernel=kernel)
 
 
 def encode_gfp(setting: AuctionSetting, mech: MechanismSpec,
@@ -241,7 +253,9 @@ def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec,
     above) rival masks, so each term is one numpy operation over every bid
     and price index at once.  The terms of a cell are summed in the same
     lottery order as a scalar per-cell evaluation would sum them, which
-    makes every cell the same IEEE result, bit for bit.
+    makes every cell the same IEEE result, bit for bit.  Each bid's table
+    is a view of its row of that array, and the game's payoff kernel reads
+    the array directly.
     """
     n, k_max = setting.n, mech.k_max
     w = apply_weight_rule(setting, mech)
@@ -287,6 +301,7 @@ def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec,
             pm[t] = len(nodes) - 1
 
     tables: dict[int, object] = {}
+    utils = []
     r_count = n - 1
     for i in range(n):
         rivals = [j for j in range(n) if j != i]
@@ -320,18 +335,24 @@ def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec,
 
             # rank 0 is the most significant bit of both mask axes
             dims = (2,) * (2 * r_count) + ((t,) if gsp else ())
-            block = util[k - 1, :, :, :t] if gsp else util[k - 1, :, :, 0]
-            tables[node_id] = ConfigTable(dims, (0,) * len(dims),
-                                          block.reshape(dims).copy())
+            block = util[k, :, :, :t] if gsp else util[k, :, :, 0]
+            tables[node_id] = ConfigTable(dims, (0,) * len(dims), block.reshape(dims))
+        utils.append(util)
 
-    meta = EncoderMeta("gim", mech.family, ebi.index, T)
-    return ActionGraphGame(agents, nodes, tables, meta=meta)
+    bit = 1 << np.arange(r_count - 1, -1, -1)
+
+    def kernel(i: int, bids: np.ndarray) -> np.ndarray:
+        tied, above, rho = _rival_view(ebi.index, i, bids)
+        return utils[i][bids[i], bit @ tied, bit @ above, rho if gsp else 0]
+
+    return ActionGraphGame(agents, nodes, tables, kernel=kernel)
 
 
 def _gim_utilities(setting: GimSetting, i: int, mech: MechanismSpec,
                    prices: np.ndarray | None) -> np.ndarray:
-    """Expected utilities of bidder i over (bid - 1, tied code, above code,
-    price index); NaN where a rival would both tie and rank above.
+    """Expected utilities of bidder i over (bid, tied code, above code,
+    price index); zero at bid 0 and NaN where a rival would both tie and
+    rank above.
 
     A mask code puts rival rank 0 in its most significant bit.  ``prices``
     holds the rounded price per argmax index (None under first price, where
@@ -353,7 +374,8 @@ def _gim_utilities(setting: GimSetting, i: int, mech: MechanismSpec,
     width = 1 if prices is None else len(prices)
     code = [sum((mask >> b & 1) << (r_count - 1 - b) for b in range(r_count))
             for mask in range(side)]
-    util = np.full((k_max, side, side, width), np.nan)
+    util = np.full((k_max + 1, side, side, width), np.nan)
+    util[0] = 0.0
 
     def weight(full: int, prob: float) -> float:
         pos = bin(full).count("1") + 1
@@ -379,7 +401,7 @@ def _gim_utilities(setting: GimSetting, i: int, mech: MechanismSpec,
         for above in range(side):
             if tied & above:
                 continue  # a rival cannot both tie and rank above
-            cell = util[:, code[tied], code[above], :]
+            cell = util[1:, code[tied], code[above], :]
             if lex:
                 # deterministic rank: bottom of the block iff every tied
                 # rival has a smaller id

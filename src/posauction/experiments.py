@@ -105,17 +105,32 @@ class ExperimentConfig:
                     problems.append(
                         f"mechanism {mc.label!r} needs continuation probabilities; "
                         f"incompatible distributions: {', '.join(bad)}")
-        if self.k < 1 or self.n < 1 or self.m < 1 or self.instances < 1:
-            problems.append("n, m, k and instances must be at least 1")
-        if self.sweep is not None and self.sweep[0] not in ("k", "n", "m"):
-            problems.append("sweep parameter must be one of k, n, m")
-        if self.resamples < 1:
-            problems.append("resamples must be at least 1")
+        counts = {"n": self.n, "m": self.m, "k": self.k, "instances": self.instances,
+                  "resamples": self.resamples, "seed": self.seed, "budget": self.budget}
+        not_int = [key for key, value in counts.items() if not _is_int(value)]
+        if not_int:
+            problems.append(f"{', '.join(not_int)} must be integers")
+        else:
+            if min(self.n, self.m, self.k, self.instances) < 1:
+                problems.append("n, m, k and instances must be at least 1")
+            if self.resamples < 1:
+                problems.append("resamples must be at least 1")
+            if self.seed < 0 or self.budget < 0:
+                problems.append("seed and budget must be non-negative")
+        if self.sweep is not None:
+            if self.sweep[0] not in ("k", "n", "m"):
+                problems.append("sweep parameter must be one of k, n, m")
+            if not all(_is_int(v) and v >= 1 for v in self.sweep[1]):
+                problems.append("sweep values must be integers of at least 1")
         if not self.alphas or not all(0.0 < a <= 1.0 for a in self.alphas):
             problems.append("alphas must be significance levels in (0, 1]")
         elif any(a <= b for a, b in zip(self.alphas, self.alphas[1:])):
             problems.append("alphas must be strictly decreasing, loosest first")
         return problems
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 PROFILES = {

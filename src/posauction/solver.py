@@ -1,23 +1,21 @@
 """Dominated-bid pruning and exact pure-equilibrium enumeration.
 
 The scan walks the pruned profile lattice and keeps a profile iff no bidder
-has a unilateral deviation improving its payoff by more than 1e-9.  Encoded
-auction games carry layout metadata that lets the scan compute payoffs with
-vectorized counting instead of per-profile graph propagation; the generic
-path is kept for arbitrary games and as a cross-check.
+has a unilateral deviation improving its payoff by more than 1e-9.  It
+reads payoffs only through :meth:`ActionGraphGame.payoffs`, many profiles
+per call; the encoders answer that from the tables they built, in their
+own layout, so the search knows nothing of how a game is encoded.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agg import ActionGraphGame, ConfigTable, deviation_best_response, evaluate_profile
-from .encoders import EncoderMeta
+from .agg import ActionGraphGame
 from .mechanisms import MechanismSpec
 from .models import AuctionSetting, Setting
 
@@ -80,47 +78,38 @@ def enumerate_psne(game: ActionGraphGame, allowed: list[list[int]] | None = None
     """Enumerate every pure Nash equilibrium over the allowed bid sets.
 
     Deterministic: profiles come out in lexicographic bid order.  If the
-    lattice exceeds ``budget`` profiles the scan stops there and reports
-    ``solved=False`` with whatever it found.
+    lattice exceeds ``budget`` profiles, only the first ``budget`` of them
+    (in that order) are checked, each against every allowed deviation, and
+    the set is reported with ``solved=False``.
     """
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
     if allowed is None:
         allowed = [list(range(len(a))) for a in game.agents]
     sizes = [len(a) for a in allowed]
     if any(s == 0 for s in sizes):
         raise ValueError("every bidder needs at least one allowed bid")
     total = math.prod(sizes)
-
-    if total <= budget and _fast_layout(game) is not None:
-        profiles = _scan_fast(game, allowed)
-        return EquilibriumSet(game.name, profiles, True, scanned=total)
-
-    profiles = []
-    scanned = 0
-    solved = total <= budget
-    for combo in itertools.product(*allowed):
-        if scanned >= budget:
-            solved = False
-            break
-        scanned += 1
-        payoffs = evaluate_profile(game, combo)
-        if all(deviation_best_response(game, combo, i)[0] <= payoffs[i] + BR_TOL
-               for i in range(game.num_agents)):
-            profiles.append(tuple(combo))
-    return EquilibriumSet(game.name, profiles, solved, scanned=scanned)
+    if total <= budget:
+        return EquilibriumSet(game.name, _scan(game, allowed), True, scanned=total)
+    return EquilibriumSet(game.name, _scan_prefix(game, allowed, budget), False,
+                          scanned=budget)
 
 
-def _fast_layout(game: ActionGraphGame):
-    meta = game.meta
-    if isinstance(meta, EncoderMeta) and meta.kind in ("noext-uniform", "noext-lex", "gim"):
-        return meta
-    return None
+def _chunks(allowed: list[list[int]], stop: int, size: int = _CHUNK):
+    """Consecutive lexicographic profile blocks below ``stop``: the allowed
+    indices and the bids, both (agents x profiles)."""
+    sizes = [len(a) for a in allowed]
+    bid_of = [np.asarray(a, dtype=np.int64) for a in allowed]
+    for start in range(0, stop, size):
+        idx = np.array(np.unravel_index(np.arange(start, min(start + size, stop)), sizes))
+        yield idx, np.array([b[row] for b, row in zip(bid_of, idx)])
 
 
-def _scan_fast(game: ActionGraphGame, allowed: list[list[int]]) -> list[tuple[int, ...]]:
-    """Vectorized scan: two passes over profile chunks, the first collecting
-    each bidder's best payoff against every rival profile, the second
-    keeping profiles where everybody best-responds."""
-    meta: EncoderMeta = game.meta
+def _scan(game: ActionGraphGame, allowed: list[list[int]]) -> list[tuple[int, ...]]:
+    """Full-lattice scan in two passes over profile chunks: the first
+    collects each bidder's best payoff against every rival profile, the
+    second keeps profiles where everybody best-responds."""
     n = game.num_agents
     sizes = np.array([len(a) for a in allowed])
     total = int(np.prod(sizes))
@@ -139,79 +128,36 @@ def _scan_fast(game: ActionGraphGame, allowed: list[list[int]]) -> list[tuple[in
         rival_strides.append(stride)
     best = [np.full(total // sizes[i], -np.inf) for i in range(n)]
 
-    def chunks():
-        for start in range(0, total, _CHUNK):
-            stop = min(start + _CHUNK, total)
-            flat = np.arange(start, stop)
-            idx = np.array(np.unravel_index(flat, sizes))  # (n, chunk)
-            yield idx
-
-    def payoffs_for(idx: np.ndarray, i: int) -> np.ndarray:
-        own_bids_all = np.array(allowed[i])[idx[i]]
-        t = meta.eidx[i][own_bids_all]
-        rival_rows = [meta.eidx[j][np.array(allowed[j])[idx[j]]]
-                      for j in range(n) if j != i]
-        rival_t = (np.stack(rival_rows) if rival_rows
-                   else np.zeros((0, idx.shape[1]), dtype=np.int64))
-        out = np.zeros(idx.shape[1])
-        live = t > 0  # zero bids pay off zero
-        if not live.any():
-            return out
-        tl = t[live]
-        rl = rival_t[:, live]
-        own_bids = own_bids_all[live]
-        rho = (np.max(np.where(rl < tl, rl, 0), axis=0) if n > 1
-               else np.zeros(tl.shape, dtype=np.int64))
-        vals = np.empty(tl.shape)
-        if meta.kind == "gim":
-            r_count = n - 1
-            # rank 0 occupies the most significant reshape axis
-            bit = (1 << np.arange(r_count - 1, -1, -1))[:, None]
-            tied_axis = ((rl == tl) * bit).sum(axis=0)
-            above_axis = ((rl > tl) * bit).sum(axis=0)
-            for bid in np.unique(own_bids):
-                sel = own_bids == bid
-                table: ConfigTable = game.tables[game.agents[i][int(bid)]]
-                flat = table.data.reshape(1 << r_count, 1 << r_count, -1)
-                rho_sel = rho[sel] if meta.family == "gsp" else 0
-                vals[sel] = flat[tied_axis[sel], above_axis[sel], rho_sel]
-            out[live] = vals
-            return out
-        eq = (rl == tl).sum(axis=0)
-        gt = (rl > tl).sum(axis=0)
-        if meta.kind == "noext-lex":
-            rj = np.array([j for j in range(n) if j != i])
-            lo = ((rl == tl) & (rj[:, None] < i)).sum(axis=0) if n > 1 else eq * 0
-            hi = ((rl == tl) & (rj[:, None] > i)).sum(axis=0) if n > 1 else eq * 0
-        for bid in np.unique(own_bids):
-            sel = own_bids == bid
-            table: ConfigTable = game.tables[game.agents[i][int(bid)]]
-            if meta.kind == "noext-uniform":
-                if meta.family == "gsp":
-                    vals[sel] = table.data[eq[sel], gt[sel], rho[sel]]
-                else:
-                    vals[sel] = table.data[eq[sel], gt[sel]]
-            else:
-                if meta.family == "gsp":
-                    vals[sel] = table.data[lo[sel], hi[sel], gt[sel], rho[sel]]
-                else:
-                    vals[sel] = table.data[lo[sel], hi[sel], gt[sel]]
-        out[live] = vals
-        return out
-
-    for idx in chunks():
+    for idx, bids in _chunks(allowed, total):
         for i in range(n):
-            key = (rival_strides[i][:, None] * idx).sum(axis=0)
-            np.maximum.at(best[i], key, payoffs_for(idx, i))
+            key = rival_strides[i] @ idx
+            np.maximum.at(best[i], key, game.payoffs(i, bids))
 
     hits = []
-    for idx in chunks():
+    for idx, bids in _chunks(allowed, total):
         mask = np.ones(idx.shape[1], dtype=bool)
         for i in range(n):
-            key = (rival_strides[i][:, None] * idx).sum(axis=0)
-            mask &= payoffs_for(idx, i) >= best[i][key] - BR_TOL
-        for col in np.nonzero(mask)[0]:
-            hits.append(tuple(int(allowed[i][idx[i][col]]) for i in range(n)))
+            key = rival_strides[i] @ idx
+            mask &= game.payoffs(i, bids) >= best[i][key] - BR_TOL
+        hits += map(tuple, bids[:, mask].T.tolist())
+    return hits
+
+
+def _scan_prefix(game: ActionGraphGame, allowed: list[list[int]],
+                 budget: int) -> list[tuple[int, ...]]:
+    """The equilibria among the first ``budget`` lexicographic profiles,
+    each checked against every allowed deviation of every bidder."""
+    widest = max(len(a) for a in allowed)
+    hits = []
+    for idx, bids in _chunks(allowed, budget, max(_CHUNK // widest, 1)):
+        cols = idx.shape[1]
+        mask = np.ones(cols, dtype=bool)
+        for i, own in enumerate(allowed):
+            trial = np.repeat(bids, len(own), axis=1)
+            trial[i] = np.tile(own, cols)
+            grid = game.payoffs(i, trial).reshape(cols, len(own))
+            mask &= grid[np.arange(cols), idx[i]] >= grid.max(axis=1) - BR_TOL
+        hits += map(tuple, bids[:, mask].T.tolist())
     return hits
 
 

@@ -7,8 +7,8 @@ from posauction.agg import evaluate_profile, size_stats
 from posauction.encoders import (EncodingSizeError, effective_bid_index, encode,
                                  encode_gfp, encode_gim_gsp, encode_gsp)
 from posauction.mechanisms import MechanismSpec, simulate_outcome
-from posauction.models import (AuctionSetting, DistributionSpec, GimSetting,
-                               normalize_setting, sample_setting)
+from posauction.models import (DISTRIBUTION_NAMES, AuctionSetting, DistributionSpec,
+                               GimSetting, normalize_setting, sample_setting)
 
 from oracles import gim_reference_tables
 
@@ -219,3 +219,29 @@ def test_gim_tables_equal_per_cell_reference():
                     assert table.dims == dims and table.lo == (0,) * len(dims)
                     assert np.array_equal(table.data, data, equal_nan=True)
                     assert np.array_equal(np.signbit(table.data), np.signbit(data))
+
+
+def test_payoff_kernel_equals_graph_evaluation():
+    # the vectorized payoffs the equilibrium scan reads must be the graph's
+    # payoffs exactly, at every profile and for every bidder; the roundings
+    # take turns (shifted per setting) to keep the grid small
+    mechs = [(fam, wr, tie, lot)
+             for fam, wr in (("gfp", "unit"), ("gsp", "unit"), ("gsp", "quality"),
+                             ("gfp", "quality"))
+             for tie in ("uniform", "lexicographic")
+             for lot in ("independent", "permutation")]
+    roundings = ("up", "down", "nearest", "up_plus_one")
+    cells = [(name, n) for name in DISTRIBUTION_NAMES for n in (2, 3)]
+    for shift, (name, n) in enumerate(cells):
+        s = normalize_setting(sample_setting(DistributionSpec.from_name(name), n, n,
+                                             rng=np.random.default_rng(n + 50)), 4)
+        grid = list(itertools.product(range(5), repeat=n))
+        bids = np.array(grid).T
+        for turn, (fam, wr, tie, lot) in enumerate(mechs):
+            mech = MechanismSpec(family=fam, weight_rule=wr, tie_rule=tie,
+                                 rounding=roundings[(turn + shift) % 4], k_max=4,
+                                 gim_tie_lottery=lot)
+            game = encode(s, mech)
+            ref = np.array([evaluate_profile(game, p) for p in grid]).T
+            for i in range(n):
+                assert np.array_equal(game.payoffs(i, bids), ref[i])

@@ -114,6 +114,15 @@ def test_config_validation_errors():
     for alphas in ((0.01, 0.05), (0.05, 0.05)):
         assert any("decreasing" in p for p in tiny_config(alphas=alphas).validate())
     assert tiny_config(alphas=(1.0, 0.05, 0.01)).validate() == []
+    for field in ("n", "m", "k", "instances", "resamples", "seed", "budget"):
+        for value in (2.0, "3", True, None):
+            problems = tiny_config(**{field: value}).validate()
+            assert any(field in p and "integers" in p for p in problems)
+    for field in ("seed", "budget"):
+        assert any("non-negative" in p for p in tiny_config(**{field: -1}).validate())
+    assert tiny_config(seed=0, budget=0).validate() == []
+    for values in ([2, 2.5], [0], [True]):
+        assert any("sweep values" in p for p in tiny_config(sweep=("k", values)).validate())
 
 
 def test_zero_resamples_rejected_before_any_instance_runs(tmp_path):
@@ -179,6 +188,15 @@ def test_cli_error_paths(tmp_path, capsys):
     cfg.write_text(json.dumps({"mechanisms": []}))
     assert cli_main(["run", "--config", str(cfg), "--out",
                      str(tmp_path / "o"), "--quiet"]) == 2
+    for doc in ({"resamples": 200.0}, {"instances": 2.0}, {"seed": 1.5},
+                {"budget": -1}, {"seed": -3}, {"sweep": ["k", 5]},
+                {"mechanisms": [{"label": "x", "bogus": 1}]}):
+        cfg.write_text(json.dumps({"distributions": ["v-uni"], "mechanisms": ["gfp"],
+                                   "n": 2, "m": 2, "k": 3, **doc}))
+        assert cli_main(["run", "--config", str(cfg), "--out",
+                         str(tmp_path / "o"), "--quiet"]) == 2
+        assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_describe_eos_reports_identical_rows(tmp_path):

@@ -107,6 +107,44 @@ def test_budget_exhaustion_reports_unsolved():
     assert set(es.profiles) <= set(full.profiles)
 
 
+@pytest.mark.parametrize("name,fam,wr,tie", [
+    ("v-ln", "gsp", "quality", "uniform"),
+    ("eos-uni", "gfp", "unit", "lexicographic"),
+    ("bhn-ln", "gsp", "unit", "lexicographic"),
+    ("cascade-ln", "gsp", "quality", "uniform"),
+    ("gim-uni", "gfp", "unit", "uniform"),
+])
+def test_budget_prefix_matches_brute_force(name, fam, wr, tie):
+    # over budget, the scan reports exactly the equilibria among the first
+    # `budget` profiles in lexicographic order
+    k = 4
+    for seed in range(2):
+        s = normalize_setting(
+            sample_setting(DistributionSpec.from_name(name), 3, 3,
+                           rng=np.random.default_rng(seed + 300)), k)
+        mech = MechanismSpec(family=fam, weight_rule=wr, tie_rule=tie, k_max=k)
+        allowed = prune_dominated(s, mech)
+        game = encode(s, mech)
+        ref = brute_force_psne(s, mech, allowed)
+        sizes = [len(a) for a in allowed]
+        total = int(np.prod(sizes))
+        for budget in (0, 1, total // 3, total - 1, total):
+            es = enumerate_psne(game, allowed, budget=budget)
+            assert es.profiles == [p for p in ref if np.ravel_multi_index(
+                [a.index(b) for a, b in zip(allowed, p)], sizes) < budget]
+            assert es.scanned == min(budget, total)
+            assert es.solved == (budget >= total)
+
+
+def test_negative_budget_rejected():
+    s = AuctionSetting("eos", 2, np.array([[4.0, 4.0], [1.0, 1.0]]),
+                       np.array([[1.0, 0.0], [1.0, 0.0]]),
+                       np.array([1.0, 1.0]))
+    mech = MechanismSpec(family="gsp", weight_rule="unit", k_max=4)
+    with pytest.raises(ValueError, match="budget"):
+        enumerate_psne(encode(s, mech), budget=-1)
+
+
 def test_equilibria_serialize_to_json():
     es = EquilibriumSet("demo", [(1, 2), (0, 0)], True, scanned=9)
     doc = es.to_json_dict()
