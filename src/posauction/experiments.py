@@ -3,9 +3,12 @@
 A run walks (distribution, instance) cells: sample a setting, normalize its
 values onto the bid grid, compute the welfare/click normalizers and the VCG
 benchmarks, then for each configured mechanism prune dominated bids, encode
-the game, enumerate its pure equilibria, and score every equilibrium on the
-four metrics.  Games with no identified equilibrium enter the statistics as
-provable metric intervals instead of being dropped.
+the game, enumerate its pure equilibria, and score them on the four
+metrics.  Equilibria that the simulator maps to the same outcome share a key
+(``mechanisms.outcome_groups``); each distinct outcome is scored once and its
+values are copied to every equilibrium with that key.  Games with no
+identified equilibrium enter the statistics as provable metric intervals
+instead of being dropped.
 
 Outputs are deterministic functions of (config, seed): per-instance JSON
 artifacts, one summary CSV per distribution, and one relation matrix per
@@ -24,7 +27,8 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .encoders import encode
-from .mechanisms import MechanismSpec, max_clicks, max_welfare, simulate_outcome, vcg
+from .mechanisms import (MechanismSpec, max_clicks, max_welfare, outcome_groups,
+                         simulate_outcome, vcg)
 from .models import (DISTRIBUTION_NAMES, DistributionSpec, GimSetting,
                      normalize_setting, sample_setting, setting_from_json_dict)
 from .solver import DEFAULT_BUDGET, enumerate_psne, prune_dominated, select
@@ -98,6 +102,10 @@ class ExperimentConfig:
         if len(set(labels)) != len(labels):
             problems.append("mechanism labels must be unique")
         for mc in self.mechanisms:
+            try:
+                mc.spec(1)  # k_max is checked with the other counts below
+            except (TypeError, ValueError) as exc:
+                problems.append(f"mechanism {mc.label!r}: {exc}")
             if mc.weight_rule == "cascade":
                 bad = [d for d in self.distributions
                        if not d.startswith(("cascade", "hybrid"))]
@@ -292,12 +300,13 @@ def run_instance(cfg: ExperimentConfig, dist_name: str, dist_index: int,
             cell["num_equilibria"] = len(es)
             cell["profiles"] = [list(p) for p in es.profiles]
             if es.solved and len(es) > 0:
-                values: dict[str, list[float]] = {name: [] for name in metric_names}
-                for profile in es.profiles:
-                    outcome = simulate_outcome(setting, mech, list(profile))
-                    mv = metrics_mod.metric_vector(outcome, setting, max_w, max_c)
-                    for name in metric_names:
-                        values[name].append(mv.get(name))
+                first, group = outcome_groups(setting, mech, es.profiles)
+                scored = []
+                for f in first:
+                    outcome = simulate_outcome(setting, mech, list(es.profiles[f]))
+                    scored.append(metrics_mod.metric_vector(outcome, setting, max_w, max_c))
+                values = {name: [scored[g].get(name) for g in group.tolist()]
+                          for name in metric_names}
                 cell["metric_values"] = values
                 cell["selections"] = _selection_summary(values)
         except Exception as exc:  # noqa: BLE001

@@ -132,18 +132,14 @@ class Outcome:
 
     ``slot_lottery[i]`` lists the marginal lottery faced by bidder i as
     ``(position, clicks, price_per_click, probability)`` tuples, position 0
-    meaning unallocated.  ``assignments`` carries the joint slot-assignment
-    lottery when one exists and is small enough to enumerate (always for
-    deterministic outcomes; the independent tie lottery of externality
-    settings has no joint form).  VCG outcomes also fill ``payments_total``
-    so zero-click winners keep a well-defined payment.
+    meaning unallocated.  VCG outcomes also fill ``payments_total`` so
+    zero-click winners keep a well-defined payment.
     """
 
     slot_lottery: list[list[tuple[int, float, float, float]]]
     expected_utility: np.ndarray
     revenue: float
     expected_clicks: float
-    assignments: list[tuple[dict[int, int], float]] | None = None
     payments_total: np.ndarray | None = None
 
     @property
@@ -159,8 +155,7 @@ def _value_at(setting: Setting, i: int, pos: int) -> float:
     return float(setting.values[i])
 
 
-def _finish_outcome(setting: Setting, lottery, assignments=None,
-                    payments_total=None) -> Outcome:
+def _finish_outcome(setting: Setting, lottery, payments_total=None) -> Outcome:
     n = setting.n
     utility = np.zeros(n)
     revenue = 0.0
@@ -177,7 +172,7 @@ def _finish_outcome(setting: Setting, lottery, assignments=None,
         utility[i] = gross - paid
         revenue += paid
     return Outcome(lottery, utility, float(revenue), float(clicks_total),
-                   assignments=assignments, payments_total=payments_total)
+                   payments_total=payments_total)
 
 
 def _tie_blocks(eff: np.ndarray, bids) -> list[list[int]]:
@@ -252,8 +247,7 @@ def simulate_outcome(setting: Setting, mech: MechanismSpec, bids) -> Outcome:
                         lottery[i].append((pos, _clicks_no_ext(setting, i, pos),
                                            float(price), 1.0 / ell))
             g += ell
-        assignments = _joint_assignments(blocks, mech.tie_rule)
-        return _finish_outcome(setting, lottery, assignments=assignments)
+        return _finish_outcome(setting, lottery)
 
     # externality setting: clicks scale with the set of bidders shown above
     g_set: list[int] = []
@@ -279,36 +273,52 @@ def simulate_outcome(setting: Setting, mech: MechanismSpec, bids) -> Outcome:
                 lottery[i].append((pos, float(clicks), float(price), prob))
         g_set = g_set + block
         g += ell
-    assignments = None
-    if mech.tie_rule == "lexicographic" or all(len(b) == 1 for b in blocks):
-        assignments = _joint_assignments(blocks, "lexicographic")
-    return _finish_outcome(setting, lottery, assignments=assignments)
+    return _finish_outcome(setting, lottery)
 
 
-_MAX_JOINT = 1024
+def outcome_groups(setting: Setting, mech: MechanismSpec, profiles
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Group bid profiles by the outcome :func:`simulate_outcome` gives them.
 
-
-def _joint_assignments(blocks, tie_rule):
-    """Joint slot-assignment lottery (product of per-block permutations)."""
-    total = 1
-    for b in blocks:
-        total *= math.factorial(len(b))
-        if tie_rule != "lexicographic" and total > _MAX_JOINT:
-            return None
-    per_block = []
-    for b in blocks:
-        if tie_rule == "lexicographic":
-            per_block.append([tuple(b)])
-        else:
-            per_block.append([p for p in itertools.permutations(b)])
-    out = []
-    for combo in itertools.product(*per_block):
-        order = [i for block in combo for i in block]
-        prob = 1.0
-        for block in per_block:
-            prob /= len(block)
-        out.append(({i: pos + 1 for pos, i in enumerate(order)}, prob))
-    return out
+    The key of a profile is what the simulator reads: the ordered tie blocks
+    of participating effective bids, every participant's bottom price, and
+    every tied bidder's own bid (its price above the bottom of its block).
+    Profiles with one key get equal outcomes, field for field.  Returns
+    ``(first, group)``: the index of one representative profile per key, and
+    the group index of every profile.
+    """
+    n = setting.n
+    bids = np.asarray(profiles, dtype=np.int64).reshape(-1, n)
+    if bids.size and (bids.min() < 0 or bids.max() > mech.k_max):
+        raise ValueError("bid outside the grid")
+    w = apply_weight_rule(setting, mech)
+    eff = bids * w
+    live = bids > 0
+    # [profile, i, j]: j takes part with an effective bid above / equal to i's
+    above = live[:, None, :] & (eff[:, None, :] > eff[:, :, None])
+    level = live[:, None, :] & (eff[:, None, :] == eff[:, :, None])
+    # a block counts once toward the ranks below it, at its lowest-indexed bidder
+    head = live & ~(level & np.tri(n, k=-1, dtype=bool)).any(axis=2)
+    rank = np.where(live, (above & head[:, None, :]).sum(axis=2), -1)
+    tied = level.sum(axis=2) > 1
+    if mech.family == "gfp":
+        bottom = bids
+    else:
+        # the next lower block's effective bid, 0 below the last block
+        below = live[:, None, :] & ~above & ~level
+        rho = np.where(below, eff[:, None, :], 0.0).max(axis=2)[live]
+        values, value_of = np.unique(rho, return_inverse=True)
+        pairs, pair_of = np.unique(value_of * n + np.nonzero(live)[1], return_inverse=True)
+        prices = [rounded_price(values[p // n], w[p % n], mech.rounding)
+                  for p in pairs.tolist()]
+        bottom = np.zeros_like(bids)
+        bottom[live] = np.array(prices, dtype=np.int64)[pair_of]
+    key = np.concatenate([rank, bottom, np.where(tied, bids, 0)], axis=1)
+    # one opaque item per row: a 1-D unique sorts these much faster than
+    # np.unique(axis=0) sorts the rows field by field
+    rows = key.view(np.dtype((np.void, key.itemsize * 3 * n))).ravel()
+    _, first, group = np.unique(rows, return_index=True, return_inverse=True)
+    return first, group
 
 
 # --------------------------------------------------------------------------
@@ -443,9 +453,4 @@ def vcg(setting: Setting, discretize: int | None = None) -> Outcome:
         price = payments[i] / clicks if clicks > 0 else 0.0
         lottery.append([(pos, float(clicks), float(price), 1.0)])
 
-    if isinstance(setting, AuctionSetting):
-        assignments = [({i: p for i, p in positions.items()}, 1.0)]
-    else:
-        assignments = [(dict(positions), 1.0)]
-    return _finish_outcome(setting, lottery, assignments=assignments,
-                           payments_total=payments)
+    return _finish_outcome(setting, lottery, payments_total=payments)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -205,23 +206,34 @@ class GimSetting:
                 mask |= 1 << rank
         return mask
 
-    def externality_factor(self, i: int, above) -> float:
-        return float(self.externality[i][self.rival_mask(i, above)])
+    @cached_property
+    def _factor_table(self) -> list[list[float]]:
+        """``externality_factor`` by bidder and bidder-id bitmask."""
+        ids = np.arange(1 << self.n)
+        table = []
+        for i in range(self.n):
+            rank_mask = np.zeros_like(ids)
+            for rank, j in enumerate(self.rivals(i)):
+                rank_mask |= (ids >> j & 1) << rank
+            table.append(self.externality[i][rank_mask].tolist())
+        return table
+
+    def externality_factor(self, i: int, above: int | list | set | tuple) -> float:
+        """f_i of the bidders in ``above`` (ids or a bidder-id bitmask); i
+        itself and ids outside 0..n-1 are ignored, as in ``rival_mask``."""
+        if isinstance(above, (int, np.integer)):
+            mask = int(above)
+        else:
+            mask = 0
+            for j in above:
+                mask |= 1 << j
+        return self._factor_table[i][mask & ((1 << self.n) - 1)]
 
     def to_json_dict(self) -> dict:
         # externality is emitted as bidder-id bitmask -> value maps, which
         # stay readable when n changes; rank masks remain an internal detail.
-        ext = []
-        for i in range(self.n):
-            rivals = self.rivals(i)
-            entry = {}
-            for rmask in range(1 << (self.n - 1)):
-                gmask = 0
-                for rank, j in enumerate(rivals):
-                    if rmask >> rank & 1:
-                        gmask |= 1 << j
-                entry[str(gmask)] = float(self.externality[i][rmask])
-            ext.append(entry)
+        ext = [{str(ids): f for ids, f in enumerate(self._factor_table[i])
+                if not ids >> i & 1} for i in range(self.n)]
         doc = {
             "model_kind": self.model_kind,
             "n": self.n,

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agg import ActionGraphGame
-from .mechanisms import MechanismSpec
+from .mechanisms import MechanismSpec, outcome_groups, simulate_outcome
+from .metrics import total_envy
 from .models import AuctionSetting, Setting
 
 BR_TOL = 1e-9
@@ -177,14 +178,12 @@ def select(values: list[float], criterion: str) -> float:
 
 
 def envy_free_filter(profiles, setting: Setting, mech: MechanismSpec):
-    """Keep the equilibria whose total (normalized) envy is zero."""
-    from .mechanisms import simulate_outcome
-    from .metrics import total_envy
-
-    kept = []
-    for profile in profiles:
-        outcome = simulate_outcome(setting, mech, list(profile))
-        envy = total_envy(outcome, setting)
-        if envy is not None and envy <= 1e-9:
-            kept.append(tuple(profile))
-    return kept
+    """Keep the equilibria whose total (normalized) envy is zero, in their
+    order; envy is computed once per distinct outcome."""
+    profiles = [tuple(p) for p in profiles]
+    first, group = outcome_groups(setting, mech, profiles)
+    free = []
+    for f in first:
+        envy = total_envy(simulate_outcome(setting, mech, list(profiles[f])), setting)
+        free.append(envy is not None and envy <= 1e-9)
+    return [p for p, g in zip(profiles, group) if free[g]]

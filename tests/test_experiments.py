@@ -3,11 +3,15 @@ import os
 
 import pytest
 
+from posauction import experiments
 from posauction.cli import main as cli_main
 from posauction.experiments import (ExperimentConfig, MechanismConfig,
                                     config_from_dict, config_to_dict,
                                     describe_instance, preset_config,
                                     run_experiment, run_instance)
+from posauction.mechanisms import outcome_groups, simulate_outcome
+from posauction.metrics import metric_vector
+from posauction.models import DISTRIBUTION_NAMES, setting_from_json_dict
 
 
 def tiny_config(**overrides):
@@ -123,12 +127,53 @@ def test_config_validation_errors():
     assert tiny_config(seed=0, budget=0).validate() == []
     for values in ([2, 2.5], [0], [True]):
         assert any("sweep values" in p for p in tiny_config(sweep=("k", values)).validate())
+    for bad in (dict(family="gps"), dict(rounding="upp"), dict(squash=2.0),
+                dict(squash="1"), dict(tie_rule="coin"), dict(weight_rule="flat"),
+                dict(gim_tie_lottery="draw")):
+        problems = tiny_config(mechanisms=[MechanismConfig(label="x", **bad)]).validate()
+        assert any(p.startswith("mechanism 'x': ") for p in problems)
 
 
 def test_zero_resamples_rejected_before_any_instance_runs(tmp_path):
     with pytest.raises(ValueError, match="resamples"):
         run_experiment(tiny_config(resamples=0), tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def test_bad_mechanism_rejected_before_any_instance_runs(tmp_path, monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("an instance ran")
+
+    monkeypatch.setattr(experiments, "run_instance", refuse)
+    cfg = tiny_config(mechanisms=[MechanismConfig(label="x", rounding="upp")])
+    with pytest.raises(ValueError, match="mechanism 'x': unknown rounding rule"):
+        run_experiment(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_grouped_scores_equal_per_equilibrium_scores():
+    # run_instance scores one profile per outcome key and copies the values;
+    # rescoring every equilibrium on its own must give the same numbers
+    cfg = preset_config("main", profile="desk")
+    shared = 0
+    for dist_index, name in enumerate(DISTRIBUTION_NAMES):
+        record = run_instance(cfg, name, dist_index, 0, cfg.n, cfg.m, cfg.k)
+        setting = setting_from_json_dict(record["setting"])
+        for mc in cfg.mechanisms:
+            cell = record["mechanisms"][mc.label]
+            if "metric_values" not in cell:
+                continue
+            mech = mc.spec(cfg.k)
+            want = {metric: [] for metric in record["metrics_defined"]}
+            for profile in cell["profiles"]:
+                mv = metric_vector(simulate_outcome(setting, mech, profile), setting,
+                                   record["max_welfare"], record["max_clicks"])
+                for metric in want:
+                    want[metric].append(mv.get(metric))
+            assert cell["metric_values"] == want
+            shared += len(cell["profiles"]) - len(outcome_groups(setting, mech,
+                                                                 cell["profiles"])[0])
+    assert shared > 0
 
 
 def test_config_round_trip():
@@ -190,7 +235,8 @@ def test_cli_error_paths(tmp_path, capsys):
                      str(tmp_path / "o"), "--quiet"]) == 2
     for doc in ({"resamples": 200.0}, {"instances": 2.0}, {"seed": 1.5},
                 {"budget": -1}, {"seed": -3}, {"sweep": ["k", 5]},
-                {"mechanisms": [{"label": "x", "bogus": 1}]}):
+                {"mechanisms": [{"label": "x", "bogus": 1}]},
+                {"mechanisms": [{"label": "x", "family": "gps"}]}):
         cfg.write_text(json.dumps({"distributions": ["v-uni"], "mechanisms": ["gfp"],
                                    "n": 2, "m": 2, "k": 3, **doc}))
         assert cli_main(["run", "--config", str(cfg), "--out",

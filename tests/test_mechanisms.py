@@ -1,12 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from oracles import brute_force_assignment_welfare
-from posauction.mechanisms import (MechanismSpec, bidder_weights, max_clicks,
-                                   max_welfare, rounded_price, simulate_outcome,
-                                   vcg)
-from posauction.models import (AuctionSetting, DistributionSpec, GimSetting,
-                               normalize_setting, sample_setting)
+from posauction.mechanisms import (ROUNDING_RULES, TIE_LOTTERIES, TIE_RULES,
+                                   MechanismSpec, bidder_weights, max_clicks,
+                                   max_welfare, outcome_groups, rounded_price,
+                                   simulate_outcome, vcg)
+from posauction.models import (DISTRIBUTION_NAMES, AuctionSetting,
+                               DistributionSpec, GimSetting, normalize_setting,
+                               sample_setting)
 
 
 @pytest.fixture
@@ -143,7 +147,8 @@ def test_lexicographic_ties_are_deterministic(eos_pair):
     mech = MechanismSpec(family="gfp", weight_rule="unit",
                          tie_rule="lexicographic", k_max=5)
     out = simulate_outcome(eos_pair, mech, [2, 2])
-    assert out.assignments == [({0: 1, 1: 2}, 1.0)]
+    assert [[(pos, prob) for pos, _c, _p, prob in m] for m in out.slot_lottery] \
+        == [[(1, 1.0)], [(2, 1.0)]]
     assert out.expected_utility == pytest.approx([0.5 * 8, 0.25 * 2])
 
 
@@ -152,7 +157,54 @@ def test_outcome_lottery_probabilities_sum_to_one(eos_pair):
     out = simulate_outcome(eos_pair, mech, [2, 2])
     for marginal in out.slot_lottery:
         assert sum(p for *_rest, p in marginal) == pytest.approx(1.0)
-    assert sum(p for _a, p in out.assignments) == pytest.approx(1.0)
+    assert [[(pos, prob) for pos, _c, _p, prob in m] for m in out.slot_lottery] \
+        == [[(1, 0.5), (2, 0.5)]] * 2
+
+
+def test_outcome_groups_share_outcomes_exactly():
+    # every profile of small games gets exactly the outcome of its group's
+    # representative; under random tie-breaking the key is also as coarse as
+    # that allows, one group per distinct slot lottery.  Rules the simulator
+    # never reads (rounding under gfp, the tie lottery outside random ties
+    # of externality settings) are not varied.
+    for name in DISTRIBUTION_NAMES:
+        auctions = [("gfp", "unit"), ("gsp", "unit"), ("gsp", "quality"),
+                    ("gfp", "quality")]
+        if name.startswith(("cascade", "hybrid")):
+            auctions.append(("gsp", "cascade"))
+        for n in (2, 3):
+            s = normalize_setting(sample_setting(DistributionSpec.from_name(name), n, n,
+                                                 rng=np.random.default_rng(n + 70)), 4)
+            grid = list(itertools.product(range(5), repeat=n))
+            for (fam, wr), tie in itertools.product(auctions, TIE_RULES):
+                roundings = ROUNDING_RULES if fam == "gsp" else ("up",)
+                lotteries = (TIE_LOTTERIES if s.has_externality and tie == "uniform"
+                             else ("independent",))
+                for rounding, lot in itertools.product(roundings, lotteries):
+                    mech = MechanismSpec(family=fam, weight_rule=wr, tie_rule=tie,
+                                         rounding=rounding, k_max=4,
+                                         gim_tie_lottery=lot)
+                    first, group = outcome_groups(s, mech, grid)
+                    outs = [simulate_outcome(s, mech, p) for p in grid]
+                    for out, g in zip(outs, group):
+                        rep = outs[first[g]]
+                        assert out.slot_lottery == rep.slot_lottery
+                        assert np.array_equal(out.expected_utility, rep.expected_utility)
+                        assert out.revenue == rep.revenue
+                        assert out.expected_clicks == rep.expected_clicks
+                    if tie == "uniform":
+                        assert len(first) == len({repr(o.slot_lottery) for o in outs})
+
+
+def test_outcome_groups_edge_cases(eos_pair):
+    mech = MechanismSpec(family="gsp", weight_rule="unit", k_max=5)
+    first, group = outcome_groups(eos_pair, mech, [])
+    assert len(first) == 0 and len(group) == 0
+    first, group = outcome_groups(eos_pair, mech, [(3, 1), (0, 0), (4, 1), (3, 1)])
+    assert group[0] == group[2] == group[3] != group[1]
+    assert sorted(first) == [0, 1]
+    with pytest.raises(ValueError, match="grid"):
+        outcome_groups(eos_pair, mech, [(6, 1)])
 
 
 def test_max_welfare_v_model_sorts_by_quality_times_value():

@@ -60,6 +60,20 @@ def test_cascade_externality_is_continuation_product():
 
 
 @pytest.mark.parametrize("name", ["cascade-uni", "hybrid-uni", "gim-ln"])
+def test_externality_factor_equals_rival_mask_lookup(name):
+    # every subset of bidders, i included or not, in every input form
+    for n in (1, 3, 4):
+        s = sample_setting(DistributionSpec.from_name(name), n, n, rng=rng(n))
+        for i in range(n):
+            for ids in range(1 << n):
+                above = [j for j in range(n) if ids >> j & 1]
+                want = s.externality[i][s.rival_mask(i, above)]
+                for form in (ids, np.int64(ids), above, tuple(above), set(above)):
+                    got = s.externality_factor(i, form)
+                    assert type(got) is float and got == want
+
+
+@pytest.mark.parametrize("name", ["cascade-uni", "hybrid-uni", "gim-ln"])
 def test_externality_monotone_under_inclusion(name):
     s = sample_setting(DistributionSpec.from_name(name), 4, 4, rng=rng(5))
     for i in range(s.n):
