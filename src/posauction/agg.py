@@ -14,10 +14,14 @@ and function nodes.  Node values propagate in topological order:
 A bidder's payoff is its chosen node's table entry at the tuple of in-arc
 source values (in in-arc order).  Tables must be total over reachable
 configurations; a missing entry is an encoder bug, not a user error.
+
+Each game is compiled once into a cached evaluation plan, which relies on
+the game being immutable once built (nodes, arcs and tables alike).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping
 
@@ -29,8 +33,10 @@ OR = "or"
 ARGMAX = "argmax"
 
 
-class MissingTableEntry(LookupError):
+class MissingTableEntry(KeyError):
     """A reachable configuration has no utility-table entry."""
+
+    __str__ = LookupError.__str__  # the message, unquoted
 
 
 @dataclass
@@ -58,7 +64,7 @@ class ConfigTable(Mapping):
         self.lo = lo
         self.data = data
 
-    def _flat(self, key: tuple) -> tuple:
+    def __getitem__(self, key: tuple) -> float:
         if len(key) != len(self.dims):
             raise MissingTableEntry(f"config {key} has wrong arity")
         idx = []
@@ -67,11 +73,8 @@ class ConfigTable(Mapping):
             if not 0 <= k < dim:
                 raise MissingTableEntry(f"config {key} outside table box")
             idx.append(k)
-        return tuple(idx)
-
-    def __getitem__(self, key: tuple) -> float:
-        value = float(self.data[self._flat(key)])
-        if np.isnan(value):
+        value = self.data.item(*idx)
+        if value != value:
             raise MissingTableEntry(f"config {key} marked unreachable")
         return value
 
@@ -106,6 +109,7 @@ class ActionGraphGame:
 
     def __post_init__(self):
         self._topo: list[int] | None = None
+        self._plan: tuple[list, list] | None = None
 
     @property
     def num_agents(self) -> int:
@@ -122,6 +126,15 @@ class ActionGraphGame:
         if self._topo is None:
             self._topo = _topological_order(self.nodes)
         return self._topo
+
+    def plan(self) -> tuple[list, list]:
+        """Topological function-node steps; (node, config getter, read) per action."""
+        if self._plan is None:
+            reads = [[(v, _getter(self.nodes[v].sources()),
+                       self.tables.get(v, {}).__getitem__) for v in actions]
+                     for actions in self.agents]
+            self._plan = (_function_steps(self.nodes, self.topo_order()), reads)
+        return self._plan
 
 
 def _topological_order(nodes: list[Node]) -> list[int]:
@@ -154,29 +167,43 @@ def _topological_order(nodes: list[Node]) -> list[int]:
     return order
 
 
-def node_values(game: ActionGraphGame, profile, order=None) -> np.ndarray:
-    """Propagate token counts through the graph for one pure profile."""
-    nodes = game.nodes
-    values = np.zeros(len(nodes), dtype=np.int64)
+def _getter(srcs: list[int]):
+    """Tuple of the values at ``srcs``, read from a list of node values."""
+    if len(srcs) == 1:
+        return lambda values, src=srcs[0]: (values[src],)
+    return operator.itemgetter(*srcs) if srcs else lambda values: ()
+
+
+def _function_steps(nodes: list[Node], order) -> list[tuple]:
+    unknown = {nodes[v].kind for v in order} - {ACTION, SUM, OR, ARGMAX}
+    if unknown:
+        raise ValueError(f"unknown node kind {unknown.pop()!r}")
+    return [(v, nodes[v].kind, _getter(nodes[v].sources()))
+            for v in order if nodes[v].kind != ACTION]
+
+
+def _walk(game: ActionGraphGame, profile, steps) -> list[int]:
+    values = [0] * len(game.nodes)
     for i, choice in enumerate(profile):
         values[game.agents[i][choice]] = 1
-    for v in (order if order is not None else game.topo_order()):
-        node = nodes[v]
-        if node.kind == ACTION:
-            continue
-        if node.kind == SUM:
-            values[v] = sum(values[src] for src in node.sources())
-        elif node.kind == OR:
-            values[v] = int(any(values[src] for src in node.sources()))
-        elif node.kind == ARGMAX:
-            best = 0
-            for rank, (src, _weight) in enumerate(node.in_arcs, start=1):
-                if values[src]:
-                    best = max(best, rank)
-            values[v] = best
-        else:
-            raise ValueError(f"unknown node kind {node.kind!r}")
+    for v, kind, get in steps:
+        src = get(values)
+        if kind == SUM:
+            values[v] = sum(src)
+        elif kind == OR:
+            values[v] = 1 if any(src) else 0
+        else:  # argmax: the highest rank whose source is active
+            rank = len(src)
+            while rank and not src[rank - 1]:
+                rank -= 1
+            values[v] = rank
     return values
+
+
+def node_values(game: ActionGraphGame, profile, order=None) -> np.ndarray:
+    """Propagate token counts through the graph for one pure profile."""
+    steps = game.plan()[0] if order is None else _function_steps(game.nodes, order)
+    return np.array(_walk(game, profile, steps), dtype=np.int64)
 
 
 def evaluate_profile(game: ActionGraphGame, profile) -> np.ndarray:
@@ -185,17 +212,18 @@ def evaluate_profile(game: ActionGraphGame, profile) -> np.ndarray:
     Raises :class:`MissingTableEntry` if an encoder produced a non-total
     table.
     """
-    values = node_values(game, profile)
-    payoffs = np.zeros(game.num_agents)
+    steps, reads = game.plan()
+    values = _walk(game, profile, steps)
+    payoffs = [0.0] * game.num_agents
     for i, choice in enumerate(profile):
-        node_id = game.agents[i][choice]
-        config = tuple(int(values[src]) for src in game.nodes[node_id].sources())
+        node_id, get, read = reads[i][choice]
+        config = get(values)
         try:
-            payoffs[i] = game.tables[node_id][config]
+            payoffs[i] = read(config)
         except KeyError as exc:
             raise MissingTableEntry(
                 f"node {node_id} has no entry for config {config}") from exc
-    return payoffs
+    return np.array(payoffs, dtype=float)
 
 
 def deviation_best_response(game: ActionGraphGame, profile, agent: int):

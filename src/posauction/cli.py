@@ -82,6 +82,8 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         problems = cfg.validate()
+        if args.jobs < 1:
+            problems.append(f"--jobs must be at least 1, got {args.jobs}")
         if problems:
             for p in problems:
                 print(f"config error: {p}", file=sys.stderr)

@@ -451,6 +451,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
     problems = cfg.validate()
     if problems:
         raise ValueError("; ".join(problems))
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config_resolved.json"), "w") as fh:
         json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
@@ -476,10 +478,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
             os.makedirs(os.path.join(ddir, "instances"), exist_ok=True)
             tasks = [(cfg, dist_name, dist_index, i, n, m, k)
                      for i in range(cfg.instances)]
-            if jobs > 1:
+            workers = min(jobs, len(tasks))
+            if workers > 1:
                 import multiprocessing
 
-                with multiprocessing.Pool(jobs) as pool:
+                with multiprocessing.Pool(workers) as pool:
                     records = pool.map(_run_instance_task, tasks)
             else:
                 records = [_run_instance_task(t) for t in tasks]

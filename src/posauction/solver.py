@@ -9,7 +9,6 @@ own layout, so the search knows nothing of how a game is encoded.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -60,18 +59,6 @@ class EquilibriumSet:
 
     def __len__(self) -> int:
         return len(self.profiles)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "game_id": self.game_id,
-            "solved": self.solved,
-            "scanned": self.scanned,
-            "profiles": [list(p) for p in self.profiles],
-            "metrics": self.metrics,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def enumerate_psne(game: ActionGraphGame, allowed: list[list[int]] | None = None,

@@ -5,7 +5,9 @@ equilibrium oracle, the solver): payoffs come from the direct simulator and
 search is exhaustive.  The externality tables have a scalar reference too:
 :func:`gim_reference_tables` fills them one cell and one lottery term at a
 time.  Bootstrap relations have one in :func:`classify_pair_reference`,
-which sorts every test's resample means and reads the quantiles.
+which sorts every test's resample means and reads the quantiles.  The AGG
+evaluator has one in :func:`evaluate_profile_reference`, the per-node walk
+over an int64 value array that the compiled evaluation plan replaced.
 """
 
 import itertools
@@ -13,6 +15,8 @@ import math
 
 import numpy as np
 
+from posauction.agg import (ACTION, ARGMAX, OR, SUM, ActionGraphGame,
+                            MissingTableEntry)
 from posauction.encoders import effective_bid_index
 from posauction.mechanisms import (MechanismSpec, apply_weight_rule, rounded_price,
                                    simulate_outcome)
@@ -147,6 +151,50 @@ def gim_reference_tables(setting: GimSetting, mech: MechanismSpec):
                                               mech, lex)
             out[i, k] = dims, data
     return out
+
+
+def node_values_reference(game: ActionGraphGame, profile, order=None) -> np.ndarray:
+    """Propagate token counts through the graph for one pure profile."""
+    nodes = game.nodes
+    values = np.zeros(len(nodes), dtype=np.int64)
+    for i, choice in enumerate(profile):
+        values[game.agents[i][choice]] = 1
+    for v in (order if order is not None else game.topo_order()):
+        node = nodes[v]
+        if node.kind == ACTION:
+            continue
+        if node.kind == SUM:
+            values[v] = sum(values[src] for src in node.sources())
+        elif node.kind == OR:
+            values[v] = int(any(values[src] for src in node.sources()))
+        elif node.kind == ARGMAX:
+            best = 0
+            for rank, (src, _weight) in enumerate(node.in_arcs, start=1):
+                if values[src]:
+                    best = max(best, rank)
+            values[v] = best
+        else:
+            raise ValueError(f"unknown node kind {node.kind!r}")
+    return values
+
+
+def evaluate_profile_reference(game: ActionGraphGame, profile) -> np.ndarray:
+    """Per-bidder payoffs of a pure strategy profile.
+
+    Raises :class:`MissingTableEntry` if an encoder produced a non-total
+    table.
+    """
+    values = node_values_reference(game, profile)
+    payoffs = np.zeros(game.num_agents)
+    for i, choice in enumerate(profile):
+        node_id = game.agents[i][choice]
+        config = tuple(int(values[src]) for src in game.nodes[node_id].sources())
+        try:
+            payoffs[i] = game.tables[node_id][config]
+        except KeyError as exc:
+            raise MissingTableEntry(
+                f"node {node_id} has no entry for config {config}") from exc
+    return payoffs
 
 
 def _reference_quantile(sorted_means: np.ndarray, alpha: float) -> float:

@@ -49,6 +49,36 @@ def test_jobs_do_not_change_output(tmp_path):
     assert ta == tb
 
 
+def test_pool_is_capped_at_the_task_count(tmp_path, monkeypatch):
+    import multiprocessing
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    run_experiment(tiny_config(distributions=["v-uni", "eos-uni"]),
+                   tmp_path / "many", jobs=5000)
+    assert sizes == [3, 3]
+    run_experiment(tiny_config(instances=1), tmp_path / "one", jobs=8)
+    assert sizes == [3, 3]  # one task runs serially
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            run_experiment(tiny_config(), tmp_path / "bad", jobs=jobs)
+    assert not (tmp_path / "bad").exists()
+
+
 def test_outputs_exist_and_summary_counts_solved(tmp_path):
     cfg = tiny_config(instances=4)
     report = run_experiment(cfg, tmp_path / "out")
@@ -242,6 +272,11 @@ def test_cli_error_paths(tmp_path, capsys):
         assert cli_main(["run", "--config", str(cfg), "--out",
                          str(tmp_path / "o"), "--quiet"]) == 2
         assert "config error" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"distributions": ["v-uni"], "mechanisms": ["gfp"],
+                               "n": 2, "m": 2, "k": 3}))
+    assert cli_main(["run", "--config", str(cfg), "--jobs", "0", "--out",
+                     str(tmp_path / "o"), "--quiet"]) == 2
+    assert "config error: --jobs" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -9,8 +9,7 @@ from posauction.encoders import encode
 from posauction.mechanisms import MechanismSpec, simulate_outcome
 from posauction.models import (AuctionSetting, DistributionSpec,
                                normalize_setting, sample_setting)
-from posauction.solver import (EquilibriumSet, enumerate_psne, envy_free_filter,
-                               prune_dominated, select)
+from posauction.solver import enumerate_psne, envy_free_filter, prune_dominated, select
 
 
 def test_prune_keeps_bids_up_to_value_ceiling():
@@ -143,13 +142,6 @@ def test_negative_budget_rejected():
     mech = MechanismSpec(family="gsp", weight_rule="unit", k_max=4)
     with pytest.raises(ValueError, match="budget"):
         enumerate_psne(encode(s, mech), budget=-1)
-
-
-def test_equilibria_serialize_to_json():
-    es = EquilibriumSet("demo", [(1, 2), (0, 0)], True, scanned=9)
-    doc = es.to_json_dict()
-    assert doc["profiles"] == [[1, 2], [0, 0]]
-    assert doc["solved"] is True
 
 
 def test_select_rules():
