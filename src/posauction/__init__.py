@@ -7,8 +7,7 @@ envy against VCG benchmarks with blocked bootstrap statistics.
 """
 
 from .agg import (ActionGraphGame, ConfigTable, MissingTableEntry, Node,
-                  deviation_best_response, dump_graph, evaluate_profile,
-                  payoff_tensors, size_stats)
+                  dump_graph, evaluate_profile, size_stats)
 from .encoders import (EffectiveBidIndex, EncodingSizeError, encode, encode_gfp,
                        encode_gim_gsp, encode_gsp, effective_bid_index)
 from .experiments import (ExperimentConfig, MechanismConfig, describe_instance,
@@ -19,7 +18,7 @@ from .mechanisms import (MechanismSpec, Outcome, apply_weight_rule, bidder_weigh
 from .metrics import MetricVector, bounds_for_unsolved, metric_vector, total_envy
 from .models import (AuctionSetting, DistributionSpec, DISTRIBUTION_NAMES,
                      GimSetting, SamplingError, normalize_setting, sample_setting,
-                     setting_from_json, setting_to_json, validate_setting)
+                     setting_from_json_dict, validate_setting)
 from .solver import (EquilibriumSet, enumerate_psne, envy_free_filter,
                      prune_dominated, select)
 from .stats import (BootstrapResult, PairRelation, bonferroni, bootstrap_compare,

@@ -95,17 +95,18 @@ class ActionGraphGame:
     encoded auctions, action index == bid amount).  ``tables`` maps each
     action-node id to its utility table (a dict or :class:`ConfigTable`).
 
-    :meth:`payoffs` gives one bidder's payoff at many profiles at once.  An
-    encoder supplies ``kernel``, a vectorized read of the same tables by the
-    layout it built them in; a game without one evaluates the graph per
-    profile.  All semantics live in the graph itself.
+    ``payoffs(i, bids)`` gives bidder i's payoff at every column of
+    ``bids``, an (agents x profiles) array of action indices.  The encoder
+    supplies it: a vectorized read of the same tables by the layout it built
+    them in.  A hand-built game has none.  All semantics live in the graph
+    itself.
     """
 
     agents: list[list[int]]
     nodes: list[Node]
     tables: dict[int, Mapping]
     name: str = ""
-    kernel: Callable[[int, np.ndarray], np.ndarray] | None = None
+    payoffs: Callable[[int, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         self._topo: list[int] | None = None
@@ -114,13 +115,6 @@ class ActionGraphGame:
     @property
     def num_agents(self) -> int:
         return len(self.agents)
-
-    def payoffs(self, i: int, bids: np.ndarray) -> np.ndarray:
-        """Bidder i's payoff at every column of ``bids``, an (agents x
-        profiles) array of action indices."""
-        if self.kernel is not None:
-            return self.kernel(i, bids)
-        return np.array([evaluate_profile(self, col)[i] for col in bids.T], dtype=float)
 
     def topo_order(self) -> list[int]:
         if self._topo is None:
@@ -133,7 +127,13 @@ class ActionGraphGame:
             reads = [[(v, _getter(self.nodes[v].sources()),
                        self.tables.get(v, {}).__getitem__) for v in actions]
                      for actions in self.agents]
-            self._plan = (_function_steps(self.nodes, self.topo_order()), reads)
+            order = self.topo_order()
+            unknown = {self.nodes[v].kind for v in order} - {SUM, OR, ARGMAX}
+            if unknown:
+                raise ValueError(f"unknown node kind {unknown.pop()!r}")
+            steps = [(v, self.nodes[v].kind, _getter(self.nodes[v].sources()))
+                     for v in order]
+            self._plan = (steps, reads)
         return self._plan
 
 
@@ -174,14 +174,6 @@ def _getter(srcs: list[int]):
     return operator.itemgetter(*srcs) if srcs else lambda values: ()
 
 
-def _function_steps(nodes: list[Node], order) -> list[tuple]:
-    unknown = {nodes[v].kind for v in order} - {ACTION, SUM, OR, ARGMAX}
-    if unknown:
-        raise ValueError(f"unknown node kind {unknown.pop()!r}")
-    return [(v, nodes[v].kind, _getter(nodes[v].sources()))
-            for v in order if nodes[v].kind != ACTION]
-
-
 def _walk(game: ActionGraphGame, profile, steps) -> list[int]:
     values = [0] * len(game.nodes)
     for i, choice in enumerate(profile):
@@ -200,10 +192,9 @@ def _walk(game: ActionGraphGame, profile, steps) -> list[int]:
     return values
 
 
-def node_values(game: ActionGraphGame, profile, order=None) -> np.ndarray:
+def node_values(game: ActionGraphGame, profile) -> np.ndarray:
     """Propagate token counts through the graph for one pure profile."""
-    steps = game.plan()[0] if order is None else _function_steps(game.nodes, order)
-    return np.array(_walk(game, profile, steps), dtype=np.int64)
+    return np.array(_walk(game, profile, game.plan()[0]), dtype=np.int64)
 
 
 def evaluate_profile(game: ActionGraphGame, profile) -> np.ndarray:
@@ -224,24 +215,6 @@ def evaluate_profile(game: ActionGraphGame, profile) -> np.ndarray:
             raise MissingTableEntry(
                 f"node {node_id} has no entry for config {config}") from exc
     return np.array(payoffs, dtype=float)
-
-
-def deviation_best_response(game: ActionGraphGame, profile, agent: int):
-    """Best payoff the agent can reach by a unilateral action change, with
-    the set of actions attaining it (1e-9 payoff tolerance)."""
-    profile = list(profile)
-    best = -np.inf
-    best_actions: list[int] = []
-    for action in range(len(game.agents[agent])):
-        trial = profile.copy()
-        trial[agent] = action
-        payoff = evaluate_profile(game, trial)[agent]
-        if payoff > best + 1e-9:
-            best = payoff
-            best_actions = [action]
-        elif payoff >= best - 1e-9:
-            best_actions.append(action)
-    return best, best_actions
 
 
 def size_stats(game: ActionGraphGame) -> dict[str, int]:
@@ -268,22 +241,3 @@ def dump_graph(game: ActionGraphGame) -> str:
         lines.append(f"{i}\t{node.kind}\towner={owner}\t[{arcs}]{label}")
     return "\n".join(lines) + "\n"
 
-
-def payoff_tensors(game: ActionGraphGame, allowed=None) -> list[np.ndarray]:
-    """Dense per-bidder payoff arrays over the (restricted) profile grid.
-
-    Reference implementation by exhaustive :func:`evaluate_profile`; the
-    encoders' vectorized kernels are tested against it.
-    """
-    import itertools
-
-    if allowed is None:
-        allowed = [list(range(len(a))) for a in game.agents]
-    shape = tuple(len(a) for a in allowed)
-    out = [np.zeros(shape) for _ in range(game.num_agents)]
-    for idx in itertools.product(*(range(s) for s in shape)):
-        profile = [allowed[i][idx[i]] for i in range(game.num_agents)]
-        payoffs = evaluate_profile(game, profile)
-        for i in range(game.num_agents):
-            out[i][idx] = payoffs[i]
-    return out

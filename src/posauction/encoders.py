@@ -43,10 +43,6 @@ class EffectiveBidIndex:
     values: np.ndarray
     index: np.ndarray  # (n, k_max + 1) slots into values
 
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
 
 def effective_bid_index(weights: np.ndarray, k_max: int,
                         cap: int = DEFAULT_VALUE_CAP) -> EffectiveBidIndex:
@@ -87,8 +83,13 @@ def _extended_rows(setting: AuctionSetting) -> tuple[np.ndarray, np.ndarray]:
     return clicks, values
 
 
-def _zero_table() -> dict:
-    return {(): 0.0}
+def _action_nodes(n: int, k_max: int) -> tuple[list[Node], list[list[int]]]:
+    """One action node per (bidder, bid 0..k_max), numbered bidder-major;
+    the nodes and each bidder's node ids in bid order."""
+    nodes = [Node(ACTION, owner=i, label=f"bid({i},{k})")
+             for i in range(n) for k in range(k_max + 1)]
+    agents = [list(range(i * (k_max + 1), (i + 1) * (k_max + 1))) for i in range(n)]
+    return nodes, agents
 
 
 def _encode_no_ext(setting: AuctionSetting, mech: MechanismSpec,
@@ -99,21 +100,14 @@ def _encode_no_ext(setting: AuctionSetting, mech: MechanismSpec,
     gsp = mech.family == "gsp"
     lex = mech.tie_rule == "lexicographic"
 
-    nodes: list[Node] = []
-    agents: list[list[int]] = []
-    for i in range(n):
-        row = []
-        for k in range(k_max + 1):
-            nodes.append(Node(ACTION, owner=i, label=f"bid({i},{k})"))
-            row.append(len(nodes) - 1)
-        agents.append(row)
+    nodes, agents = _action_nodes(n, k_max)
 
     by_value: dict[int, list[tuple[int, int]]] = {}
     for i in range(n):
         for k in range(1, k_max + 1):
             by_value.setdefault(int(ebi.index[i, k]), []).append((i, k))
 
-    T = ebi.count
+    T = len(ebi.values)
     eq = {}
     gt = {}
     pm = {}
@@ -194,7 +188,7 @@ def _encode_no_ext(setting: AuctionSetting, mech: MechanismSpec,
         for k in range(k_max + 1):
             node_id = agents[i][k]
             if k == 0:
-                tables[node_id] = _zero_table()
+                tables[node_id] = {(): 0.0}
                 continue
             t = int(ebi.index[i, k])
             node = nodes[node_id]
@@ -217,7 +211,7 @@ def _encode_no_ext(setting: AuctionSetting, mech: MechanismSpec,
         ties = (tied[:i].sum(axis=0), tied[i:].sum(axis=0)) if lex else (tied.sum(axis=0),)
         return stacks[i][(bids[i], *ties, above.sum(axis=0), rho if gsp else 0)]
 
-    return ActionGraphGame(agents, nodes, tables, kernel=kernel)
+    return ActionGraphGame(agents, nodes, tables, payoffs=kernel)
 
 
 def encode_gfp(setting: AuctionSetting, mech: MechanismSpec,
@@ -262,21 +256,14 @@ def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec,
     ebi = effective_bid_index(w, k_max, cap)
     gsp = mech.family == "gsp"
     lex = mech.tie_rule == "lexicographic"
-    T = ebi.count
+    T = len(ebi.values)
 
     est = n * k_max * (2 ** (2 * (n - 1))) * max(T - 1, 1)
     if est > entry_cap:
         raise EncodingSizeError(
             f"estimated {est} table entries exceed the cap of {entry_cap}")
 
-    nodes: list[Node] = []
-    agents: list[list[int]] = []
-    for i in range(n):
-        row = []
-        for k in range(k_max + 1):
-            nodes.append(Node(ACTION, owner=i, label=f"bid({i},{k})"))
-            row.append(len(nodes) - 1)
-        agents.append(row)
+    nodes, agents = _action_nodes(n, k_max)
 
     # a bidder's slots rise with its bid (weights are positive), so the bids
     # of rival j tied with slot t, or above it, are contiguous runs of its
@@ -314,7 +301,7 @@ def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec,
         for k in range(k_max + 1):
             node_id = agents[i][k]
             if k == 0:
-                tables[node_id] = _zero_table()
+                tables[node_id] = {(): 0.0}
                 continue
             t = int(ebi.index[i, k])
             arcs: list[tuple[int, float | None]] = []
@@ -345,7 +332,7 @@ def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec,
         tied, above, rho = _rival_view(ebi.index, i, bids)
         return utils[i][bids[i], bit @ tied, bit @ above, rho if gsp else 0]
 
-    return ActionGraphGame(agents, nodes, tables, kernel=kernel)
+    return ActionGraphGame(agents, nodes, tables, payoffs=kernel)
 
 
 def _gim_utilities(setting: GimSetting, i: int, mech: MechanismSpec,

@@ -17,6 +17,7 @@ artifacts, one summary CSV per distribution, and one relation matrix per
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -93,9 +94,11 @@ class ExperimentConfig:
         problems = []
         if not self.distributions:
             problems.append("no distributions configured")
-        for d in self.distributions:
+        for i, d in enumerate(self.distributions):
             if d not in DISTRIBUTION_NAMES:
                 problems.append(f"unknown distribution {d!r}")
+            elif d in self.distributions[:i]:
+                problems.append(f"distribution {d!r} is listed more than once")
         if not self.mechanisms:
             problems.append("no mechanisms configured")
         labels = [mc.label for mc in self.mechanisms]
@@ -128,8 +131,11 @@ class ExperimentConfig:
         if self.sweep is not None:
             if self.sweep[0] not in ("k", "n", "m"):
                 problems.append("sweep parameter must be one of k, n, m")
-            if not all(_is_int(v) and v >= 1 for v in self.sweep[1]):
+            values = self.sweep[1]
+            if not all(_is_int(v) and v >= 1 for v in values):
                 problems.append("sweep values must be integers of at least 1")
+            elif not values or len(set(values)) != len(values):
+                problems.append("sweep values must be a non-empty list of distinct values")
         if not self.alphas or not all(0.0 < a <= 1.0 for a in self.alphas):
             problems.append("alphas must be significance levels in (0, 1]")
         elif any(a <= b for a, b in zip(self.alphas, self.alphas[1:])):
@@ -464,70 +470,71 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
         param, values = cfg.sweep
         sweep_cells = [(param, v) for v in values]
 
-    for param, value in sweep_cells:
-        n, m, k = cfg.n, cfg.m, cfg.k
-        cell_dir = out_dir
-        if param is not None:
-            n, m, k = {"n": (value, m, k), "m": (n, value, k),
-                       "k": (n, m, value)}[param]
-            cell_dir = os.path.join(out_dir, f"{param}={value}")
-            os.makedirs(cell_dir, exist_ok=True)
-        for dist_index, dist_name in enumerate(cfg.distributions):
-            started = time.perf_counter()
-            ddir = os.path.join(cell_dir, dist_name)
-            os.makedirs(os.path.join(ddir, "instances"), exist_ok=True)
-            tasks = [(cfg, dist_name, dist_index, i, n, m, k)
-                     for i in range(cfg.instances)]
-            workers = min(jobs, len(tasks))
-            if workers > 1:
-                import multiprocessing
+    # one pool serves every cell; a single worker runs in this process
+    workers = min(jobs, cfg.instances)
+    with contextlib.ExitStack() as stack:
+        run_all = map
+        if workers > 1:
+            import multiprocessing
 
-                with multiprocessing.Pool(workers) as pool:
-                    records = pool.map(_run_instance_task, tasks)
-            else:
-                records = [_run_instance_task(t) for t in tasks]
-            for record in records:
-                path = os.path.join(ddir, "instances", f"{record['instance']:04d}.json")
-                with open(path, "w") as fh:
-                    json.dump(record, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                if record["error"] is not None:
-                    report.failures.append({"distribution": dist_name,
-                                            "instance": record["instance"],
-                                            **record["error"]})
-                for label, cell in record.get("mechanisms", {}).items():
-                    if "error" in cell:
+            run_all = stack.enter_context(multiprocessing.Pool(workers)).map
+        for param, value in sweep_cells:
+            n, m, k = cfg.n, cfg.m, cfg.k
+            cell_dir = out_dir
+            if param is not None:
+                n, m, k = {"n": (value, m, k), "m": (n, value, k),
+                           "k": (n, m, value)}[param]
+                cell_dir = os.path.join(out_dir, f"{param}={value}")
+                os.makedirs(cell_dir, exist_ok=True)
+            for dist_index, dist_name in enumerate(cfg.distributions):
+                started = time.perf_counter()
+                ddir = os.path.join(cell_dir, dist_name)
+                os.makedirs(os.path.join(ddir, "instances"), exist_ok=True)
+                tasks = [(cfg, dist_name, dist_index, i, n, m, k)
+                         for i in range(cfg.instances)]
+                records = list(run_all(_run_instance_task, tasks))
+                for record in records:
+                    path = os.path.join(ddir, "instances", f"{record['instance']:04d}.json")
+                    with open(path, "w") as fh:
+                        json.dump(record, fh, indent=2, sort_keys=True)
+                        fh.write("\n")
+                    if record["error"] is not None:
                         report.failures.append({"distribution": dist_name,
                                                 "instance": record["instance"],
-                                                "mechanism": label,
-                                                **cell["error"]})
-            good = [r for r in records if r["error"] is None]
-            if not good:
-                continue
-            metric_names = good[0]["metrics_defined"]
-            _write_summary_csv(os.path.join(ddir, "summary.csv"),
-                               _summary_rows(cfg, good, metric_names))
+                                                **record["error"]})
+                    for label, cell in record.get("mechanisms", {}).items():
+                        if "error" in cell:
+                            report.failures.append({"distribution": dist_name,
+                                                    "instance": record["instance"],
+                                                    "mechanism": label,
+                                                    **cell["error"]})
+                good = [r for r in records if r["error"] is None]
+                if not good:
+                    continue
+                metric_names = good[0]["metrics_defined"]
+                _write_summary_csv(os.path.join(ddir, "summary.csv"),
+                                   _summary_rows(cfg, good, metric_names))
 
-            have_bench = bool(good[0].get("vcg"))
-            bench = [(lbl, True) for lbl in ("vcg", "dvcg")
-                     if have_bench and lbl in good[0]["vcg"]]
-            num_tests = 0
-            for metric in metric_names:
-                cols = len(cfg.mechanisms) + (len(bench) if metric != "envy" else 0)
-                num_tests += cols * (cols - 1) // 2
-            for metric_index, metric in enumerate(metric_names):
-                entities = [(mc.label, False) for mc in cfg.mechanisms]
-                if metric != "envy":
-                    entities += bench
-                rng = np.random.default_rng(np.random.SeedSequence(
-                    entropy=(cfg.seed, 104729, dist_index, metric_index)))
-                rels = relation_table(cfg, good, metric, entities, num_tests, rng)
-                _write_relations(os.path.join(ddir, f"relations_{metric}"), metric,
-                                 [e[0] for e in entities], rels, num_tests, cfg.alphas)
-            if progress is not None:
-                rate = len(records) / max(time.perf_counter() - started, 1e-9)
-                progress(f"{cell_dir}: {dist_name} done "
-                         f"({len(good)}/{cfg.instances} instances, {rate:.2f}/s)")
+                have_bench = bool(good[0].get("vcg"))
+                bench = [(lbl, True) for lbl in ("vcg", "dvcg")
+                         if have_bench and lbl in good[0]["vcg"]]
+                num_tests = 0
+                for metric in metric_names:
+                    cols = len(cfg.mechanisms) + (len(bench) if metric != "envy" else 0)
+                    num_tests += cols * (cols - 1) // 2
+                for metric_index, metric in enumerate(metric_names):
+                    entities = [(mc.label, False) for mc in cfg.mechanisms]
+                    if metric != "envy":
+                        entities += bench
+                    rng = np.random.default_rng(np.random.SeedSequence(
+                        entropy=(cfg.seed, 104729, dist_index, metric_index)))
+                    rels = relation_table(cfg, good, metric, entities, num_tests, rng)
+                    _write_relations(os.path.join(ddir, f"relations_{metric}"), metric,
+                                     [e[0] for e in entities], rels, num_tests, cfg.alphas)
+                if progress is not None:
+                    rate = len(records) / max(time.perf_counter() - started, 1e-9)
+                    progress(f"{cell_dir}: {dist_name} done "
+                             f"({len(good)}/{cfg.instances} instances, {rate:.2f}/s)")
 
     if report.failures:
         with open(os.path.join(out_dir, "failures.json"), "w") as fh:

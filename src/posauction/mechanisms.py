@@ -62,10 +62,6 @@ class MechanismSpec:
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
 
-    @property
-    def bids(self) -> range:
-        return range(self.k_max + 1)
-
 
 def bidder_weights(setting: Setting, rule: str, squash: float = 1.0) -> np.ndarray:
     """Per-bidder ranking weights.
@@ -141,10 +137,6 @@ class Outcome:
     revenue: float
     expected_clicks: float
     payments_total: np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return len(self.slot_lottery)
 
 
 def _value_at(setting: Setting, i: int, pos: int) -> float:

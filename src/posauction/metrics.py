@@ -17,8 +17,6 @@ import numpy as np
 from .mechanisms import Outcome, max_clicks, max_welfare
 from .models import AuctionSetting, GimSetting, Setting
 
-METRIC_NAMES = ("efficiency", "revenue", "relevance", "envy")
-
 
 @dataclass(frozen=True)
 class MetricVector:

@@ -13,7 +13,6 @@ slot count m.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -250,15 +249,6 @@ class GimSetting:
 
 
 Setting = AuctionSetting | GimSetting
-
-
-def setting_to_json(setting: Setting) -> str:
-    return json.dumps(setting.to_json_dict(), indent=2, sort_keys=True)
-
-
-def setting_from_json(text: str) -> Setting:
-    doc = json.loads(text)
-    return setting_from_json_dict(doc)
 
 
 def setting_from_json_dict(doc: dict) -> Setting:
@@ -603,7 +593,6 @@ def _check_externality_form(s: GimSetting) -> list[str]:
                 expect = prod
             else:
                 size = bin(mask).count("1")
-                base = s.externality[i][(1 << size) - 1] if size else 1.0
                 # hybrid: f depends on |S| through one shared factor, so only
                 # check that f / prod(cont) is a function of the set size
                 ref_mask = (1 << size) - 1

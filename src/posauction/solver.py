@@ -2,7 +2,7 @@
 
 The scan walks the pruned profile lattice and keeps a profile iff no bidder
 has a unilateral deviation improving its payoff by more than 1e-9.  It
-reads payoffs only through :meth:`ActionGraphGame.payoffs`, many profiles
+reads payoffs only through ``ActionGraphGame.payoffs``, many profiles
 per call; the encoders answer that from the tables they built, in their
 own layout, so the search knows nothing of how a game is encoded.
 """
@@ -70,6 +70,8 @@ def enumerate_psne(game: ActionGraphGame, allowed: list[list[int]] | None = None
     (in that order) are checked, each against every allowed deviation, and
     the set is reported with ``solved=False``.
     """
+    if game.payoffs is None:
+        raise ValueError("game has no payoff kernel; build it with `encode`")
     if budget < 0:
         raise ValueError("budget must be non-negative")
     if allowed is None:

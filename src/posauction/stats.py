@@ -33,11 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-RELATION_KINDS = ("robust", "selection", "spans", "incomparable")
-
-#: selection criteria order used in the (N, 3, 2) interval arrays
-CRITERIA = ("min", "median", "max")
-
 
 @dataclass(frozen=True)
 class BootstrapResult:
@@ -62,15 +57,6 @@ class PairRelation:
     direction: int
     stars: int
 
-    def symbol(self) -> str:
-        if self.kind == "incomparable":
-            return "~"
-        mark = {"robust": ("&ge;&dagger;", "&le;&dagger;"),
-                "selection": ("&ge;", "&le;"),
-                "spans": ("&supe;", "&sube;")}
-        up, down = mark[self.kind]
-        return up if self.direction > 0 else down
-
     def pretty(self) -> str:
         if self.kind == "incomparable":
             return "~"
@@ -80,9 +66,6 @@ class PairRelation:
         up, down = mark[self.kind]
         sym = up if self.direction > 0 else down
         return sym + "★" * self.stars
-
-    def flipped(self) -> "PairRelation":
-        return PairRelation(self.kind, -self.direction, self.stars)
 
 
 def bonferroni(alpha: float, num_tests: int) -> float:

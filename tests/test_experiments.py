@@ -70,9 +70,9 @@ def test_pool_is_capped_at_the_task_count(tmp_path, monkeypatch):
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     run_experiment(tiny_config(distributions=["v-uni", "eos-uni"]),
                    tmp_path / "many", jobs=5000)
-    assert sizes == [3, 3]
+    assert sizes == [3]  # one pool for the whole run
     run_experiment(tiny_config(instances=1), tmp_path / "one", jobs=8)
-    assert sizes == [3, 3]  # one task runs serially
+    assert sizes == [3]  # one task per distribution runs serially
     for jobs in (0, -3):
         with pytest.raises(ValueError, match="jobs"):
             run_experiment(tiny_config(), tmp_path / "bad", jobs=jobs)
@@ -137,6 +137,8 @@ def test_config_validation_errors():
     assert any("no mechanisms" in p for p in cfg.validate())
     cfg = tiny_config(distributions=["not-a-dist"])
     assert any("unknown distribution" in p for p in cfg.validate())
+    cfg = tiny_config(distributions=["v-uni", "eos-uni", "v-uni"])
+    assert cfg.validate() == ["distribution 'v-uni' is listed more than once"]
     cfg = tiny_config(mechanisms=[MechanismConfig.named("cwgsp")])
     assert any("continuation" in p for p in cfg.validate())
     with pytest.raises(ValueError):
@@ -157,6 +159,9 @@ def test_config_validation_errors():
     assert tiny_config(seed=0, budget=0).validate() == []
     for values in ([2, 2.5], [0], [True]):
         assert any("sweep values" in p for p in tiny_config(sweep=("k", values)).validate())
+    for values in ([], [3, 3], [3, 4, 3]):
+        assert any("non-empty list of distinct" in p
+                   for p in tiny_config(sweep=("k", values)).validate())
     for bad in (dict(family="gps"), dict(rounding="upp"), dict(squash=2.0),
                 dict(squash="1"), dict(tie_rule="coin"), dict(weight_rule="flat"),
                 dict(gim_tie_lottery="draw")):
@@ -265,6 +270,7 @@ def test_cli_error_paths(tmp_path, capsys):
                      str(tmp_path / "o"), "--quiet"]) == 2
     for doc in ({"resamples": 200.0}, {"instances": 2.0}, {"seed": 1.5},
                 {"budget": -1}, {"seed": -3}, {"sweep": ["k", 5]},
+                {"distributions": ["v-uni", "v-uni"]},
                 {"mechanisms": [{"label": "x", "bogus": 1}]},
                 {"mechanisms": [{"label": "x", "family": "gps"}]}):
         cfg.write_text(json.dumps({"distributions": ["v-uni"], "mechanisms": ["gfp"],

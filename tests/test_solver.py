@@ -80,17 +80,26 @@ def test_enumeration_matches_brute_force(name, fam, wr, tie):
         assert es.profiles == brute_force_psne(s, mech, allowed)
 
 
-def test_fast_scan_agrees_with_generic_scan():
+def test_wgsp_enumeration_matches_brute_force_at_k4():
     s = normalize_setting(
         sample_setting(DistributionSpec.from_name("v-uni"), 3, 3,
                        rng=np.random.default_rng(9)), 4)
     mech = MechanismSpec(family="gsp", weight_rule="quality", k_max=4)
-    game = encode(s, mech)
     allowed = prune_dominated(s, mech)
-    fast = enumerate_psne(game, allowed)
-    generic = ActionGraphGame(game.agents, game.nodes, game.tables)  # no meta
-    slow = enumerate_psne(generic, allowed)
-    assert fast.profiles == slow.profiles
+    es = enumerate_psne(encode(s, mech), allowed)
+    assert es.solved
+    assert es.profiles == brute_force_psne(s, mech, allowed)
+
+
+def test_hand_built_game_is_rejected():
+    # only an encoder supplies the payoff kernel the scan reads
+    s = normalize_setting(
+        sample_setting(DistributionSpec.from_name("v-uni"), 2, 2,
+                       rng=np.random.default_rng(9)), 3)
+    game = encode(s, MechanismSpec(family="gsp", weight_rule="quality", k_max=3))
+    bare = ActionGraphGame(game.agents, game.nodes, game.tables)
+    with pytest.raises(ValueError, match="no payoff kernel"):
+        enumerate_psne(bare)
 
 
 def test_budget_exhaustion_reports_unsolved():
