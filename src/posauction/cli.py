@@ -15,11 +15,8 @@ import argparse
 import json
 import sys
 
-from .experiments import (ExperimentConfig, config_from_dict,
+from .experiments import (PRESETS, ExperimentConfig, config_from_dict,
                           describe_instance, run_experiment)
-
-PRESETS = ("main", "wgfp", "cwgsp", "tiebreak", "rounding",
-           "scale_k", "scale_n", "scale_m")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run an experiment")
     run.add_argument("--config", metavar="<file>",
                      help="JSON experiment config (fields override the preset)")
-    run.add_argument("--preset", choices=PRESETS,
+    run.add_argument("--preset", choices=list(PRESETS),
                      help="named experiment preset")
     run.add_argument("--profile", choices=("desk", "paper"), default="desk",
                      help="problem scale: desk (n=4, m=4, k=8, 50 instances) "

@@ -18,6 +18,7 @@ artifacts, one summary CSV per distribution, and one relation matrix per
 from __future__ import annotations
 
 import contextlib
+import copy
 import dataclasses
 import json
 import os
@@ -65,7 +66,9 @@ class MechanismConfig:
             "wgsp": dict(family="gsp", weight_rule="quality"),
             "wgfp": dict(family="gfp", weight_rule="quality"),
             "cwgsp": dict(family="gsp", weight_rule="cascade"),
-        }[name]
+        }.get(name)
+        if base is None:
+            raise ValueError(f"unknown mechanism {name!r}")
         base.update(overrides)
         return cls(label=overrides.get("label", name), **{k: v for k, v in base.items()
                                                           if k != "label"})
@@ -116,6 +119,8 @@ class ExperimentConfig:
                     problems.append(
                         f"mechanism {mc.label!r} needs continuation probabilities; "
                         f"incompatible distributions: {', '.join(bad)}")
+        if not all(isinstance(v, bool) for v in (self.include_vcg, self.include_dvcg)):
+            problems.append("include_vcg and include_dvcg must be true or false")
         counts = {"n": self.n, "m": self.m, "k": self.k, "instances": self.instances,
                   "resamples": self.resamples, "seed": self.seed, "budget": self.budget}
         not_int = [key for key, value in counts.items() if not _is_int(value)]
@@ -152,62 +157,44 @@ PROFILES = {
     "desk": dict(n=4, m=4, k=8, instances=50),
 }
 
+_mech = MechanismConfig.named
+# Each preset's fields over the ExperimentConfig defaults; the defaults are
+# the main experiment.
+PRESETS = {
+    "main": {},
+    "wgfp": dict(distributions=["v-uni", "v-ln"],
+                 mechanisms=[_mech("gfp"), _mech("ugsp"), _mech("wgsp"), _mech("wgfp")]),
+    "cwgsp": dict(distributions=["cascade-uni", "cascade-ln"],
+                  mechanisms=[_mech("wgsp"), _mech("cwgsp")]),
+    "tiebreak": dict(distributions=["eos-ln", "bss"], mechanisms=[
+        _mech("gfp", label="gfp-random"),
+        _mech("gfp", label="gfp-lex", tie_rule="lexicographic"),
+        _mech("ugsp", label="ugsp-random"),
+        _mech("ugsp", label="ugsp-lex", tie_rule="lexicographic"),
+    ]),
+    "rounding": dict(distributions=["v-ln", "cascade-ln"], mechanisms=[
+        _mech("wgsp", label="wgsp-up", rounding="up"),
+        _mech("wgsp", label="wgsp-down", rounding="down"),
+        _mech("wgsp", label="wgsp-nearest", rounding="nearest"),
+        _mech("wgsp", label="wgsp-up1", rounding="up_plus_one"),
+    ]),
+    "scale_k": dict(distributions=["v-ln", "bhn-uni", "cascade-ln"],
+                    sweep=("k", [5, 10, 15, 20, 25, 30, 35, 40])),
+    "scale_n": dict(distributions=["v-ln", "cascade-ln"], sweep=("n", list(range(2, 11)))),
+    "scale_m": dict(distributions=["v-ln", "cascade-ln"], sweep=("m", [1, 2, 3, 4, 5])),
+}
+
 
 def preset_config(name: str, profile: str = "paper", **overrides) -> ExperimentConfig:
     """The named experiment presets, at paper scale unless a profile or
     explicit overrides shrink them."""
-    scale = dict(PROFILES[profile])
-    mech = MechanismConfig.named
-    if name == "main":
-        cfg = ExperimentConfig(preset="main")
-    elif name == "wgfp":
-        cfg = ExperimentConfig(
-            distributions=["v-uni", "v-ln"],
-            mechanisms=[mech("gfp"), mech("ugsp"), mech("wgsp"), mech("wgfp")],
-            preset="wgfp")
-    elif name == "cwgsp":
-        cfg = ExperimentConfig(
-            distributions=["cascade-uni", "cascade-ln"],
-            mechanisms=[mech("wgsp"), mech("cwgsp")],
-            preset="cwgsp")
-    elif name == "tiebreak":
-        cfg = ExperimentConfig(
-            distributions=["eos-ln", "bss"],
-            mechanisms=[
-                mech("gfp", label="gfp-random"),
-                mech("gfp", label="gfp-lex", tie_rule="lexicographic"),
-                mech("ugsp", label="ugsp-random"),
-                mech("ugsp", label="ugsp-lex", tie_rule="lexicographic"),
-            ],
-            preset="tiebreak")
-    elif name == "rounding":
-        cfg = ExperimentConfig(
-            distributions=["v-ln", "cascade-ln"],
-            mechanisms=[
-                mech("wgsp", label="wgsp-up", rounding="up"),
-                mech("wgsp", label="wgsp-down", rounding="down"),
-                mech("wgsp", label="wgsp-nearest", rounding="nearest"),
-                mech("wgsp", label="wgsp-up1", rounding="up_plus_one"),
-            ],
-            preset="rounding")
-    elif name == "scale_k":
-        cfg = ExperimentConfig(
-            distributions=["v-ln", "bhn-uni", "cascade-ln"],
-            sweep=("k", [5, 10, 15, 20, 25, 30, 35, 40]),
-            instances=100, preset="scale_k")
-    elif name == "scale_n":
-        cfg = ExperimentConfig(
-            distributions=["v-ln", "cascade-ln"],
-            sweep=("n", list(range(2, 11))),
-            instances=100, preset="scale_n")
-    elif name == "scale_m":
-        cfg = ExperimentConfig(
-            distributions=["v-ln", "cascade-ln"],
-            sweep=("m", [1, 2, 3, 4, 5]),
-            instances=100, preset="scale_m")
-    else:
+    if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}")
-    for key, value in {**scale, **overrides}.items():
+    if profile not in PROFILES:
+        raise ValueError(f"unknown profile {profile!r}")
+    # a deep copy, so a caller that edits a config's lists leaves the table be
+    cfg = ExperimentConfig(preset=name, **copy.deepcopy(PRESETS[name]))
+    for key, value in {**PROFILES[profile], **overrides}.items():
         setattr(cfg, key, value)
     return cfg
 
@@ -217,12 +204,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     profile = doc.pop("profile", "paper")
     preset = doc.pop("preset", None)
     mechs = doc.pop("mechanisms", None)
-    if preset:
-        cfg = preset_config(preset, profile=profile)
-    else:
-        cfg = ExperimentConfig()
-        for key, value in PROFILES[profile].items():
-            setattr(cfg, key, value)
+    cfg = preset_config(preset or "main", profile=profile)
+    cfg.preset = preset or None
     if mechs is not None:
         cfg.mechanisms = [
             MechanismConfig.named(m) if isinstance(m, str)

@@ -1,10 +1,12 @@
 """Dominated-bid pruning and exact pure-equilibrium enumeration.
 
-The scan walks the pruned profile lattice and keeps a profile iff no bidder
-has a unilateral deviation improving its payoff by more than 1e-9.  It
-reads payoffs only through ``ActionGraphGame.payoffs``, many profiles
-per call; the encoders answer that from the tables they built, in their
-own layout, so the search knows nothing of how a game is encoded.
+One scan walks the pruned profile lattice in lexicographic order and keeps
+a profile iff no bidder has a unilateral deviation improving its payoff by
+more than 1e-9.  It reads payoffs only through ``ActionGraphGame.payoffs``,
+many profiles per call; the encoders answer that from the tables they
+built, in their own layout, so the search knows nothing of how a game is
+encoded.  A profile budget cuts the scan at a prefix of the lattice, so an
+unsolved game costs no more per profile than a solved one.
 """
 
 from __future__ import annotations
@@ -65,10 +67,11 @@ def enumerate_psne(game: ActionGraphGame, allowed: list[list[int]] | None = None
                    budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
     """Enumerate every pure Nash equilibrium over the allowed bid sets.
 
-    Deterministic: profiles come out in lexicographic bid order.  If the
-    lattice exceeds ``budget`` profiles, only the first ``budget`` of them
-    (in that order) are checked, each against every allowed deviation, and
-    the set is reported with ``solved=False``.
+    Deterministic: profiles come out in lexicographic bid order.  One scan
+    covers the first ``min(lattice, budget)`` profiles in that order; a
+    lattice over ``budget`` is reported with ``solved=False`` and holds the
+    equilibria among those profiles.  The work is that of a full scan of
+    the prefix plus at most one block of ``_CHUNK`` profiles.
     """
     if game.payoffs is None:
         raise ValueError("game has no payoff kernel; build it with `encode`")
@@ -80,74 +83,45 @@ def enumerate_psne(game: ActionGraphGame, allowed: list[list[int]] | None = None
     if any(s == 0 for s in sizes):
         raise ValueError("every bidder needs at least one allowed bid")
     total = math.prod(sizes)
-    if total <= budget:
-        return EquilibriumSet(game.name, _scan(game, allowed), True, scanned=total)
-    return EquilibriumSet(game.name, _scan_prefix(game, allowed, budget), False,
-                          scanned=budget)
+    stop = min(total, budget)
+    return EquilibriumSet(game.name, _scan(game, allowed, stop), total <= budget,
+                          scanned=stop)
 
 
-def _chunks(allowed: list[list[int]], stop: int, size: int = _CHUNK):
-    """Consecutive lexicographic profile blocks below ``stop``: the allowed
-    indices and the bids, both (agents x profiles)."""
+def _scan(game: ActionGraphGame, allowed: list[list[int]],
+          stop: int) -> list[tuple[int, ...]]:
+    """The equilibria among the first ``stop`` lexicographic profiles.
+
+    Bidder i's axis has stride ``prod(sizes[i+1:])``, so a block of
+    ``prod(sizes[i:])`` consecutive profiles holds each of its rival
+    profiles with every own bid.  Chunks hold whole blocks of the first
+    bidder j whose block fits in ``_CHUNK``; for every bidder from j on, the
+    max over its axis is its exact best payoff.  Bidders before j check the
+    survivors against every allowed deviation.
+    """
     sizes = [len(a) for a in allowed]
+    block = [math.prod(sizes[i:]) for i in range(len(sizes) + 1)]
+    j = next(i for i, b in enumerate(block) if b <= _CHUNK)
+    step = block[j] * (_CHUNK // block[j])
+    end = -(-stop // block[j]) * block[j]  # the cut rounded up to a whole block
     bid_of = [np.asarray(a, dtype=np.int64) for a in allowed]
-    for start in range(0, stop, size):
-        idx = np.array(np.unravel_index(np.arange(start, min(start + size, stop)), sizes))
-        yield idx, np.array([b[row] for b, row in zip(bid_of, idx)])
-
-
-def _scan(game: ActionGraphGame, allowed: list[list[int]]) -> list[tuple[int, ...]]:
-    """Full-lattice scan in two passes over profile chunks: the first
-    collects each bidder's best payoff against every rival profile, the
-    second keeps profiles where everybody best-responds."""
-    n = game.num_agents
-    sizes = np.array([len(a) for a in allowed])
-    total = int(np.prod(sizes))
-
-    # strides of the rival-profile key for each bidder (own axis removed)
-    rival_strides = []
-    for i in range(n):
-        stride = np.ones(n, dtype=np.int64)
-        acc = 1
-        for j in range(n - 1, -1, -1):
-            if j == i:
-                stride[j] = 0
-                continue
-            stride[j] = acc
-            acc *= sizes[j]
-        rival_strides.append(stride)
-    best = [np.full(total // sizes[i], -np.inf) for i in range(n)]
-
-    for idx, bids in _chunks(allowed, total):
-        for i in range(n):
-            key = rival_strides[i] @ idx
-            np.maximum.at(best[i], key, game.payoffs(i, bids))
-
     hits = []
-    for idx, bids in _chunks(allowed, total):
-        mask = np.ones(idx.shape[1], dtype=bool)
-        for i in range(n):
-            key = rival_strides[i] @ idx
-            mask &= game.payoffs(i, bids) >= best[i][key] - BR_TOL
-        hits += map(tuple, bids[:, mask].T.tolist())
-    return hits
-
-
-def _scan_prefix(game: ActionGraphGame, allowed: list[list[int]],
-                 budget: int) -> list[tuple[int, ...]]:
-    """The equilibria among the first ``budget`` lexicographic profiles,
-    each checked against every allowed deviation of every bidder."""
-    widest = max(len(a) for a in allowed)
-    hits = []
-    for idx, bids in _chunks(allowed, budget, max(_CHUNK // widest, 1)):
-        cols = idx.shape[1]
-        mask = np.ones(cols, dtype=bool)
-        for i, own in enumerate(allowed):
-            trial = np.repeat(bids, len(own), axis=1)
-            trial[i] = np.tile(own, cols)
-            grid = game.payoffs(i, trial).reshape(cols, len(own))
-            mask &= grid[np.arange(cols), idx[i]] >= grid.max(axis=1) - BR_TOL
-        hits += map(tuple, bids[:, mask].T.tolist())
+    for start in range(0, end, step):
+        flat = np.arange(start, min(start + step, end))
+        bids = np.array([b[row] for b, row in zip(bid_of, np.unravel_index(flat, sizes))])
+        mask = flat < stop
+        for i in range(j, len(sizes)):
+            pay = game.payoffs(i, bids).reshape(-1, sizes[i], block[i + 1])
+            mask &= (pay >= pay.max(axis=1, keepdims=True) - BR_TOL).ravel()
+        bids = bids[:, mask]
+        for i in range(j):
+            trial = bids.copy()
+            best = np.full(bids.shape[1], -np.inf)
+            for bid in allowed[i]:
+                trial[i] = bid
+                best = np.maximum(best, game.payoffs(i, trial))
+            bids = bids[:, game.payoffs(i, bids) >= best - BR_TOL]
+        hits += map(tuple, bids.T.tolist())
     return hits
 
 

@@ -157,6 +157,10 @@ def test_config_validation_errors():
     for field in ("seed", "budget"):
         assert any("non-negative" in p for p in tiny_config(**{field: -1}).validate())
     assert tiny_config(seed=0, budget=0).validate() == []
+    for field in ("include_vcg", "include_dvcg"):
+        for value in ("false", 0, 1, None):
+            problems = tiny_config(**{field: value}).validate()
+            assert problems == ["include_vcg and include_dvcg must be true or false"]
     for values in ([2, 2.5], [0], [True]):
         assert any("sweep values" in p for p in tiny_config(sweep=("k", values)).validate())
     for values in ([], [3, 3], [3, 4, 3]):
@@ -219,8 +223,7 @@ def test_config_round_trip():
 
 
 def test_presets_resolve():
-    for name in ("main", "wgfp", "cwgsp", "tiebreak", "rounding",
-                 "scale_k", "scale_n", "scale_m"):
+    for name in experiments.PRESETS:
         cfg = preset_config(name, profile="desk")
         assert cfg.validate() == []
     assert preset_config("main", profile="paper").k == 30
@@ -272,12 +275,21 @@ def test_cli_error_paths(tmp_path, capsys):
                 {"budget": -1}, {"seed": -3}, {"sweep": ["k", 5]},
                 {"distributions": ["v-uni", "v-uni"]},
                 {"mechanisms": [{"label": "x", "bogus": 1}]},
-                {"mechanisms": [{"label": "x", "family": "gps"}]}):
+                {"mechanisms": [{"label": "x", "family": "gps"}]},
+                {"include_vcg": "false"}, {"include_dvcg": 0}):
         cfg.write_text(json.dumps({"distributions": ["v-uni"], "mechanisms": ["gfp"],
                                    "n": 2, "m": 2, "k": 3, **doc}))
         assert cli_main(["run", "--config", str(cfg), "--out",
                          str(tmp_path / "o"), "--quiet"]) == 2
         assert "config error" in capsys.readouterr().err
+    for doc, message in (({"mechanisms": ["gsp"]}, "unknown mechanism 'gsp'"),
+                         ({"profile": "huge"}, "unknown profile 'huge'"),
+                         ({"preset": "huge"}, "unknown preset 'huge'")):
+        cfg.write_text(json.dumps({"distributions": ["v-uni"], "mechanisms": ["gfp"],
+                                   "n": 2, "m": 2, "k": 3, **doc}))
+        assert cli_main(["run", "--config", str(cfg), "--out",
+                         str(tmp_path / "o"), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
     cfg.write_text(json.dumps({"distributions": ["v-uni"], "mechanisms": ["gfp"],
                                "n": 2, "m": 2, "k": 3}))
     assert cli_main(["run", "--config", str(cfg), "--jobs", "0", "--out",

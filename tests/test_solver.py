@@ -1,9 +1,14 @@
+import dataclasses
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_psne
+from posauction import solver
 from posauction.agg import ActionGraphGame
 from posauction.encoders import encode
 from posauction.mechanisms import MechanismSpec, simulate_outcome
@@ -122,11 +127,14 @@ def test_budget_exhaustion_reports_unsolved():
     ("cascade-ln", "gsp", "quality", "uniform"),
     ("gim-uni", "gfp", "unit", "uniform"),
 ])
-def test_budget_prefix_matches_brute_force(name, fam, wr, tie):
+def test_budget_prefix_matches_brute_force(name, fam, wr, tie, monkeypatch):
     # over budget, the scan reports exactly the equilibria among the first
-    # `budget` profiles in lexicographic order
+    # `budget` profiles in lexicographic order; a 64-profile chunk puts some
+    # of these lattices over it, so their leading bidders are checked
+    # against every allowed deviation
     k = 4
-    for seed in range(2):
+    for chunk, seed in itertools.product((solver._CHUNK, 64), range(2)):
+        monkeypatch.setattr(solver, "_CHUNK", chunk)
         s = normalize_setting(
             sample_setting(DistributionSpec.from_name(name), 3, 3,
                            rng=np.random.default_rng(seed + 300)), k)
@@ -136,12 +144,38 @@ def test_budget_prefix_matches_brute_force(name, fam, wr, tie):
         ref = brute_force_psne(s, mech, allowed)
         sizes = [len(a) for a in allowed]
         total = int(np.prod(sizes))
-        for budget in (0, 1, total // 3, total - 1, total):
+        block = next(b for b in (math.prod(sizes[i:]) for i in range(len(sizes) + 1))
+                     if b <= chunk)
+        for budget in (0, 1, block - 1, block + 1, total // 3, total - 1, total):
             es = enumerate_psne(game, allowed, budget=budget)
             assert es.profiles == [p for p in ref if np.ravel_multi_index(
                 [a.index(b) for a, b in zip(allowed, p)], sizes) < budget]
             assert es.scanned == min(budget, total)
             assert es.solved == (budget >= total)
+
+
+def test_budget_bounds_the_work(monkeypatch):
+    # a cut scan evaluates the prefix rounded up to one block, not a full
+    # pass over the lattice
+    monkeypatch.setattr(solver, "_CHUNK", 64)
+    s = normalize_setting(
+        sample_setting(DistributionSpec.from_name("v-uni"), 3, 3,
+                       rng=np.random.default_rng(3)), 8)
+    mech = MechanismSpec(family="gsp", weight_rule="quality", k_max=8)
+    allowed = prune_dominated(s, mech)
+    total = math.prod(len(a) for a in allowed)
+    assert total > 300
+    game = encode(s, mech)
+    columns = []
+
+    def counted(i, bids):
+        columns.append(bids.shape[1])
+        return game.payoffs(i, bids)
+
+    es = enumerate_psne(dataclasses.replace(game, payoffs=counted), allowed, budget=10)
+    assert es.scanned == 10
+    assert es.solved is False
+    assert 0 < sum(columns) < game.num_agents * total
 
 
 def test_negative_budget_rejected():
