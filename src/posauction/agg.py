@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -95,18 +95,18 @@ class ActionGraphGame:
     encoded auctions, action index == bid amount).  ``tables`` maps each
     action-node id to its utility table (a dict or :class:`ConfigTable`).
 
-    ``payoffs(i, bids)`` gives bidder i's payoff at every column of
-    ``bids``, an (agents x profiles) array of action indices.  The encoder
-    supplies it: a vectorized read of the same tables by the layout it built
-    them in.  A hand-built game has none.  All semantics live in the graph
-    itself.
+    ``payoffs(i, bids)`` gives bidder i's payoffs for ``bids``, one integer
+    action array per bidder, broadcast together: at every profile of an
+    ``np.ix_`` box, or per column of an (agents x profiles) array.  The
+    encoder supplies it, reading the same tables by the layout it built them
+    in.  A hand-built game has none.  All semantics live in the graph itself.
     """
 
     agents: list[list[int]]
     nodes: list[Node]
     tables: dict[int, Mapping]
     name: str = ""
-    payoffs: Callable[[int, np.ndarray], np.ndarray] | None = None
+    payoffs: Callable[[int, Sequence[np.ndarray]], np.ndarray] | None = None
 
     def __post_init__(self):
         self._topo: list[int] | None = None

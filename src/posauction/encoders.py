@@ -15,6 +15,7 @@ tables and contribute no tokens anywhere else.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,15 +61,49 @@ def effective_bid_index(weights: np.ndarray, k_max: int,
     return EffectiveBidIndex(values, index)
 
 
-def _rival_view(slots: np.ndarray, i: int, bids: np.ndarray):
-    """Bidder i's view of the rivals at every column of ``bids``: which
-    rivals (in id order) tie its effective-bid slot and which beat it, and
-    the highest rival slot below its own (0 when there is none)."""
-    taken = np.take_along_axis(slots, bids, axis=1)
-    own = taken[i]
-    rival = np.delete(taken, i, axis=0)
-    rho = np.where(rival < own, rival, 0).max(axis=0, initial=0)
-    return rival == own, rival > own, rho
+def _pair_kernel(slots: np.ndarray, stacks: list[np.ndarray], gsp: bool, ties: str):
+    """Bidder i's payoff is its C-ordered stack (own bid, rival axes, price)
+    at own-bid offset + sum over rivals j of ``P_ij[b_i, b_j]`` (+ under GSP
+    max over j of ``R_ij[b_i, b_j]``, j's slot where below i's, else 0).
+    ``P_ij`` steps the tie axis (``"split"``: the second one if j > i) or
+    the above axis (second last) by one, or under ``"mask"`` by j's rank
+    bit.  Each table is (k+1)^2, so on an ``np.ix_`` box each term is 2-D;
+    built on the first call, they cost a game read only by its graph nothing.
+    """
+    @functools.cache
+    def tables():  # all at once, over (i, j, b_i, b_j); the diagonal goes unused
+        n = len(stacks)
+        axis = np.array([s.strides for s in stacks]) // stacks[0].itemsize
+        later = np.arange(n) > np.arange(n)[:, None]
+        unit = 1 << (n - 2 - np.arange(n) + later).clip(0) if ties == "mask" else 1
+        tie = np.where((ties == "split") & later, axis[:, 2:3], axis[:, 1:2]) * unit
+        mine, theirs = slots[:, None, :, None], slots[None, :, None, :]
+        step = (tie[..., None, None] * (theirs == mine)
+                + (axis[:, -2:-1] * unit)[..., None, None] * (theirs > mine))
+        # last rival first: on a box the full-size adds then run longer rows
+        return (np.arange(slots.shape[1]) * axis[:, :1], step,
+                np.where(theirs < mine, theirs, 0), [stack.ravel() for stack in stacks],
+                [[j for j in reversed(range(n)) if j != i] for i in range(n)])
+
+    def kernel(i: int, bids) -> np.ndarray:
+        own, step, below, flat, rivals = tables()
+        b = bids[i]
+        index, rho = own[i, b], 0
+        for j in rivals[i]:
+            index = index + step[i, j][b, bids[j]]
+            if gsp:
+                rho = np.maximum(rho, below[i, j][b, bids[j]])
+        if gsp:
+            index += rho  # in place: a fresh full-size array costs page faults
+        return flat[i].take(index)
+
+    return kernel
+
+
+def _prices(ebi: EffectiveBidIndex, i: int, weight: float, rounding: str) -> np.ndarray:
+    """Bidder i's rounded price per argmax index: every slot below its top bid."""
+    return np.array([rounded_price(float(v), weight, rounding)
+                     for v in ebi.values[:ebi.index[i, -1]]], dtype=float)
 
 
 def _extended_rows(setting: AuctionSetting) -> tuple[np.ndarray, np.ndarray]:
@@ -108,17 +143,13 @@ def _encode_no_ext(setting: AuctionSetting, mech: MechanismSpec,
             by_value.setdefault(int(ebi.index[i, k]), []).append((i, k))
 
     T = len(ebi.values)
-    eq = {}
-    gt = {}
-    pm = {}
+    eq, gt, pm = {}, {}, {}
     for t in range(1, T):
         nodes.append(Node(SUM, in_arcs=[(agents[i][k], None) for i, k in by_value[t]],
                           label=f"eq@{ebi.values[t]:g}"))
         eq[t] = len(nodes) - 1
     for t in range(T - 1, 0, -1):
-        arcs = []
-        if t + 1 < T:
-            arcs = [(eq[t + 1], None), (gt[t + 1], None)]
+        arcs = [(eq[t + 1], None), (gt[t + 1], None)] if t + 1 < T else []
         nodes.append(Node(SUM, in_arcs=arcs, label=f"above@{ebi.values[t]:g}"))
         gt[t] = len(nodes) - 1
     if gsp:
@@ -130,8 +161,7 @@ def _encode_no_ext(setting: AuctionSetting, mech: MechanismSpec,
     eq_side = {}
     if lex:
         for t, pairs in by_value.items():
-            owners = sorted({i for i, _ in pairs})
-            for i in owners:
+            for i in sorted({i for i, _ in pairs}):
                 lo_arcs = [(agents[j][k], None) for j, k in pairs if j < i]
                 hi_arcs = [(agents[j][k], None) for j, k in pairs if j > i]
                 nodes.append(Node(SUM, in_arcs=lo_arcs, label=f"eq_lo@{t}/{i}"))
@@ -148,11 +178,7 @@ def _encode_no_ext(setting: AuctionSetting, mech: MechanismSpec,
     stacks = []
     for i in range(n):
         width = int(ebi.index[i, k_max]) if gsp else 1
-        prices = None
-        if gsp:
-            prices = np.array([rounded_price(float(ebi.values[r]), float(w[i]),
-                                             mech.rounding)
-                               for r in range(width)], dtype=float)
+        prices = _prices(ebi, i, float(w[i]), mech.rounding) if gsp else None
         if not lex:
             # axes (rival ties, rivals above)
             ell = np.arange(1, n + 1)[:, None]
@@ -185,11 +211,9 @@ def _encode_no_ext(setting: AuctionSetting, mech: MechanismSpec,
                 stack[1:, :, 0] = c_here[:, :, None] * (v_here[:, :, None] - prices)
         stacks.append(stack)
 
-        for k in range(k_max + 1):
+        tables[agents[i][0]] = {(): 0.0}
+        for k in range(1, k_max + 1):
             node_id = agents[i][k]
-            if k == 0:
-                tables[node_id] = {(): 0.0}
-                continue
             t = int(ebi.index[i, k])
             node = nodes[node_id]
             if lex:
@@ -206,12 +230,8 @@ def _encode_no_ext(setting: AuctionSetting, mech: MechanismSpec,
             lo_corner = (0 if lex else 1,) + (0,) * (block.ndim - 1)
             tables[node_id] = ConfigTable(block.shape, lo_corner, block)
 
-    def kernel(i: int, bids: np.ndarray) -> np.ndarray:
-        tied, above, rho = _rival_view(ebi.index, i, bids)
-        ties = (tied[:i].sum(axis=0), tied[i:].sum(axis=0)) if lex else (tied.sum(axis=0),)
-        return stacks[i][(bids[i], *ties, above.sum(axis=0), rho if gsp else 0)]
-
-    return ActionGraphGame(agents, nodes, tables, payoffs=kernel)
+    return ActionGraphGame(agents, nodes, tables, payoffs=_pair_kernel(
+        ebi.index, stacks, gsp, "split" if lex else "count"))
 
 
 def encode_gfp(setting: AuctionSetting, mech: MechanismSpec,
@@ -249,7 +269,7 @@ def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec,
     lottery order as a scalar per-cell evaluation would sum them, which
     makes every cell the same IEEE result, bit for bit.  Each bid's table
     is a view of its row of that array, and the game's payoff kernel reads
-    the array directly.
+    the array directly (see :func:`_pair_kernel`).
     """
     n, k_max = setting.n, mech.k_max
     w = apply_weight_rule(setting, mech)
@@ -275,11 +295,10 @@ def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec,
         for arc, t in zip(bid_arcs[j], bid_slots[j]):
             by_slot.setdefault(t, []).append(arc)
 
-    present = {}
+    present, pm = {}, {}
     for t in range(1, T):
         nodes.append(Node(OR, in_arcs=by_slot[t], label=f"present@{ebi.values[t]:g}"))
         present[t] = len(nodes) - 1
-    pm = {}
     if gsp:
         price_arcs = [(present[u], float(ebi.values[u])) for u in range(1, T)]
         for t in range(1, T):
@@ -292,17 +311,11 @@ def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec,
     r_count = n - 1
     for i in range(n):
         rivals = [j for j in range(n) if j != i]
-        prices = None
-        if gsp:
-            prices = np.array([rounded_price(float(ebi.values[r]), float(w[i]),
-                                             mech.rounding)
-                               for r in range(int(ebi.index[i].max()))], dtype=float)
+        prices = _prices(ebi, i, float(w[i]), mech.rounding) if gsp else None
         util = _gim_utilities(setting, i, mech, prices)
-        for k in range(k_max + 1):
+        tables[agents[i][0]] = {(): 0.0}
+        for k in range(1, k_max + 1):
             node_id = agents[i][k]
-            if k == 0:
-                tables[node_id] = {(): 0.0}
-                continue
             t = int(ebi.index[i, k])
             arcs: list[tuple[int, float | None]] = []
             for j in rivals:
@@ -326,13 +339,8 @@ def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec,
             tables[node_id] = ConfigTable(dims, (0,) * len(dims), block.reshape(dims))
         utils.append(util)
 
-    bit = 1 << np.arange(r_count - 1, -1, -1)
-
-    def kernel(i: int, bids: np.ndarray) -> np.ndarray:
-        tied, above, rho = _rival_view(ebi.index, i, bids)
-        return utils[i][bids[i], bit @ tied, bit @ above, rho if gsp else 0]
-
-    return ActionGraphGame(agents, nodes, tables, payoffs=kernel)
+    return ActionGraphGame(agents, nodes, tables,
+                           payoffs=_pair_kernel(ebi.index, utils, gsp, "mask"))
 
 
 def _gim_utilities(setting: GimSetting, i: int, mech: MechanismSpec,

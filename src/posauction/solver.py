@@ -3,7 +3,7 @@
 One scan walks the pruned profile lattice in lexicographic order and keeps
 a profile iff no bidder has a unilateral deviation improving its payoff by
 more than 1e-9.  It reads payoffs only through ``ActionGraphGame.payoffs``,
-many profiles per call; the encoders answer that from the tables they
+over ``np.ix_`` boxes of bid runs; the encoders answer from the tables they
 built, in their own layout, so the search knows nothing of how a game is
 encoded.  A profile budget cuts the scan at a prefix of the lattice, so an
 unsolved game costs no more per profile than a solved one.
@@ -11,6 +11,8 @@ unsolved game costs no more per profile than a solved one.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -67,11 +69,12 @@ def enumerate_psne(game: ActionGraphGame, allowed: list[list[int]] | None = None
                    budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
     """Enumerate every pure Nash equilibrium over the allowed bid sets.
 
-    Deterministic: profiles come out in lexicographic bid order.  One scan
-    covers the first ``min(lattice, budget)`` profiles in that order; a
-    lattice over ``budget`` is reported with ``solved=False`` and holds the
-    equilibria among those profiles.  The work is that of a full scan of
-    the prefix plus at most one block of ``_CHUNK`` profiles.
+    ``allowed`` holds one strictly increasing list of bids per bidder, in
+    its action range (default: all).  Deterministic: profiles come out in
+    lexicographic bid order.  One scan covers the first ``min(lattice,
+    budget)`` profiles in that order; a lattice over ``budget`` is reported
+    with ``solved=False`` and holds the equilibria among those profiles.
+    The work is a full scan of the prefix plus at most one ``_CHUNK`` box.
     """
     if game.payoffs is None:
         raise ValueError("game has no payoff kernel; build it with `encode`")
@@ -79,10 +82,14 @@ def enumerate_psne(game: ActionGraphGame, allowed: list[list[int]] | None = None
         raise ValueError("budget must be non-negative")
     if allowed is None:
         allowed = [list(range(len(a))) for a in game.agents]
-    sizes = [len(a) for a in allowed]
-    if any(s == 0 for s in sizes):
-        raise ValueError("every bidder needs at least one allowed bid")
-    total = math.prod(sizes)
+    if len(allowed) != game.num_agents:
+        raise ValueError(f"allowed needs one bid list per bidder ({game.num_agents})")
+    for i, bids in enumerate(allowed):
+        top = len(game.agents[i]) - 1
+        if not len(bids) or list(bids) != sorted(set(range(top + 1)).intersection(bids)):
+            raise ValueError(f"bidder {i}: allowed bids must be strictly increasing "
+                             f"integers in 0..{top}, at least one, got {list(bids)}")
+    total = math.prod(len(a) for a in allowed)
     stop = min(total, budget)
     return EquilibriumSet(game.name, _scan(game, allowed, stop), total <= budget,
                           scanned=stop)
@@ -92,36 +99,41 @@ def _scan(game: ActionGraphGame, allowed: list[list[int]],
           stop: int) -> list[tuple[int, ...]]:
     """The equilibria among the first ``stop`` lexicographic profiles.
 
-    Bidder i's axis has stride ``prod(sizes[i+1:])``, so a block of
-    ``prod(sizes[i:])`` consecutive profiles holds each of its rival
-    profiles with every own bid.  Chunks hold whole blocks of the first
-    bidder j whose block fits in ``_CHUNK``; for every bidder from j on, the
-    max over its axis is its exact best payoff.  Bidders before j check the
-    survivors against every allowed deviation.
+    j is the first bidder (at least 1) whose block ``prod(sizes[j:])`` fits
+    in ``_CHUNK``.  Each chunk is an ``np.ix_`` box of at most ``_CHUNK``
+    consecutive profiles: bidders before j-1 fixed, bidder j-1 over a run of
+    its bids, the rest over all of theirs.  A bidder whose axis spans its
+    set gets its exact best payoff as the max over that axis; the others
+    check the survivors against every allowed deviation in one call.
     """
-    sizes = [len(a) for a in allowed]
-    block = [math.prod(sizes[i:]) for i in range(len(sizes) + 1)]
-    j = next(i for i, b in enumerate(block) if b <= _CHUNK)
-    step = block[j] * (_CHUNK // block[j])
-    end = -(-stop // block[j]) * block[j]  # the cut rounded up to a whole block
+    n, sizes = len(allowed), [len(a) for a in allowed]
+    block = [math.prod(sizes[i:]) for i in range(n + 1)]
+    j = max(1, next(i for i, b in enumerate(block) if b <= _CHUNK))
+    run = _CHUNK // block[j]
     bid_of = [np.asarray(a, dtype=np.int64) for a in allowed]
     hits = []
-    for start in range(0, end, step):
-        flat = np.arange(start, min(start + step, end))
-        bids = np.array([b[row] for b, row in zip(bid_of, np.unravel_index(flat, sizes))])
-        mask = flat < stop
-        for i in range(j, len(sizes)):
-            pay = game.payoffs(i, bids).reshape(-1, sizes[i], block[i + 1])
-            mask &= (pay >= pay.max(axis=1, keepdims=True) - BR_TOL).ravel()
-        bids = bids[:, mask]
-        for i in range(j):
-            trial = bids.copy()
-            best = np.full(bids.shape[1], -np.inf)
-            for bid in allowed[i]:
-                trial[i] = bid
-                best = np.maximum(best, game.payoffs(i, trial))
-            bids = bids[:, game.payoffs(i, bids) >= best - BR_TOL]
-        hits += map(tuple, bids.T.tolist())
+    for p, prefix in enumerate(itertools.product(*map(range, sizes[:j - 1]))):
+        for first in range(0, sizes[j - 1], run):
+            start = (p * sizes[j - 1] + first) * block[j]
+            if start >= stop:
+                return hits
+            axes = ([b[k:k + 1] for b, k in zip(bid_of, prefix)]
+                    + [bid_of[j - 1][first:first + run]] + bid_of[j:])
+            mask = np.ones([len(ax) for ax in axes], dtype=bool)
+            mask.reshape(-1)[stop - start:] = False
+            for i in (i for i in range(n) if len(axes[i]) == sizes[i]):
+                pay = game.payoffs(i, np.ix_(*axes))
+                # pay.max(axis=i) is several times slower on a short inner axis
+                best = functools.reduce(np.maximum, np.moveaxis(pay, i, 0))
+                mask &= pay >= np.expand_dims(best, i) - BR_TOL
+            # on a sparse mask np.nonzero costs far more than this
+            at = np.unravel_index(np.flatnonzero(mask), mask.shape)
+            surv = [ax[k] for ax, k in zip(axes, at)]
+            for i in (i for i in range(n) if len(axes[i]) < sizes[i]):
+                pay = game.payoffs(i, surv[:i] + [bid_of[i][:, None]] + surv[i + 1:])
+                keep = game.payoffs(i, surv) >= pay.max(axis=0) - BR_TOL
+                surv = [s[keep] for s in surv]
+            hits += zip(*(s.tolist() for s in surv))
     return hits
 
 

@@ -6,7 +6,8 @@ import pytest
 from posauction.agg import evaluate_profile, size_stats
 from posauction.encoders import (EncodingSizeError, effective_bid_index, encode,
                                  encode_gfp, encode_gim_gsp, encode_gsp)
-from posauction.mechanisms import MechanismSpec, simulate_outcome
+from posauction.mechanisms import (FAMILIES, ROUNDING_RULES, TIE_LOTTERIES, TIE_RULES,
+                                   WEIGHT_RULES, MechanismSpec, simulate_outcome)
 from posauction.models import (DISTRIBUTION_NAMES, AuctionSetting, DistributionSpec,
                                GimSetting, normalize_setting, sample_setting)
 
@@ -245,3 +246,27 @@ def test_payoff_kernel_equals_graph_evaluation():
             ref = np.array([evaluate_profile(game, p) for p in grid]).T
             for i in range(n):
                 assert np.array_equal(game.payoffs(i, bids), ref[i])
+
+
+def test_payoff_kernel_on_a_box_equals_column_form():
+    # the scan reads payoffs over np.ix_ boxes of bid sets; every encoder
+    # path must give there, bit for bit, what it gives on the (n x P)
+    # column form of the same profiles
+    k = 4
+    axes = [np.array([0, 2, 3]), np.arange(k + 1), np.array([1, 4])]
+    box = np.ix_(*axes)
+    columns = np.array(list(itertools.product(*axes))).T
+    for name in DISTRIBUTION_NAMES:
+        s = normalize_setting(sample_setting(DistributionSpec.from_name(name), 3, 3,
+                                             rng=np.random.default_rng(77)), k)
+        for fam, wr, tie, rnd, lot in itertools.product(
+                FAMILIES, WEIGHT_RULES, TIE_RULES, ROUNDING_RULES, TIE_LOTTERIES):
+            if wr == "cascade" and getattr(s, "continuation", None) is None:
+                continue
+            game = encode(s, MechanismSpec(family=fam, weight_rule=wr, squash=0.5,
+                                           tie_rule=tie, rounding=rnd, k_max=k,
+                                           gim_tie_lottery=lot))
+            for i in range(3):
+                on_box = game.payoffs(i, box)
+                assert on_box.shape == tuple(len(a) for a in axes)
+                assert on_box.tobytes() == game.payoffs(i, columns).tobytes()

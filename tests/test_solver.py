@@ -169,13 +169,73 @@ def test_budget_bounds_the_work(monkeypatch):
     columns = []
 
     def counted(i, bids):
-        columns.append(bids.shape[1])
+        columns.append(np.broadcast(*bids).size)
         return game.payoffs(i, bids)
 
     es = enumerate_psne(dataclasses.replace(game, payoffs=counted), allowed, budget=10)
     assert es.scanned == 10
     assert es.solved is False
     assert 0 < sum(columns) < game.num_agents * total
+
+
+@pytest.mark.parametrize("name,fam,wr,tie", [
+    ("cascade-uni", "gsp", "unit", "uniform"),
+    ("hybrid-uni", "gfp", "unit", "uniform"),
+    ("v-uni", "gsp", "quality", "lexicographic"),
+    ("eos-ln", "gfp", "unit", "lexicographic"),
+])
+def test_leading_bidders_checked_on_4_bidder_boxes(name, fam, wr, tie, monkeypatch):
+    # at a 7- or 64-profile chunk these lattices put the first trailing
+    # bidder j at 2 or 3: the bidders before j-1 are fixed per chunk and
+    # bidder j-1 runs over part of its bids, so those bidders are checked
+    # against every allowed deviation; budgets fall on chunk and block edges
+    k = 4
+    s = normalize_setting(
+        sample_setting(DistributionSpec.from_name(name), 4, 4,
+                       rng=np.random.default_rng(6)), k)
+    mech = MechanismSpec(family=fam, weight_rule=wr, tie_rule=tie, k_max=k)
+    allowed = prune_dominated(s, mech)
+    game = encode(s, mech)
+    ref = brute_force_psne(s, mech, allowed)
+    assert ref
+    sizes = [len(a) for a in allowed]
+    total = math.prod(sizes)
+    flat = [np.ravel_multi_index([a.index(b) for a, b in zip(allowed, p)], sizes)
+            for p in ref]
+    for chunk in (7, 64):
+        monkeypatch.setattr(solver, "_CHUNK", chunk)
+        block = [math.prod(sizes[i:]) for i in range(len(sizes) + 1)]
+        j = next(i for i, b in enumerate(block) if b <= chunk)
+        assert j >= 2
+        step = block[j] * (chunk // block[j])
+        edges = {0, total // 3, total - 1, total, total + 5}
+        for edge in (block[j], step, block[j - 1], block[j - 1] + step, 2 * block[j - 1]):
+            edges |= {edge - 1, edge, edge + 1}
+        for budget in sorted(e for e in edges if e >= 0):
+            es = enumerate_psne(game, allowed, budget=budget)
+            assert es.profiles == [p for p, f in zip(ref, flat) if f < budget]
+            assert es.scanned == min(budget, total)
+            assert es.solved == (budget >= total)
+
+
+@pytest.mark.parametrize("allowed,match", [
+    ([[0, 1], [-1, 0, 1]], "bidder 1"),
+    ([[2, 1, 0], [0, 1]], "bidder 0"),
+    ([[0, 1], [0, 9]], "bidder 1"),
+    ([[0, 1], [0, 1.5]], "bidder 1"),
+    ([[0, 1], [0, 1, 1]], "bidder 1"),
+    ([[0, 1], []], "bidder 1"),
+    ([[0, 1]], "one bid list per bidder"),
+])
+def test_allowed_bids_validated(allowed, match):
+    # -1 would read as bid k_max, a reversed list would break the
+    # lexicographic order the budget prefix relies on, and 9 is off the grid
+    s = AuctionSetting("eos", 2, np.array([[4.0, 4.0], [1.0, 1.0]]),
+                       np.array([[1.0, 0.0], [1.0, 0.0]]),
+                       np.array([1.0, 1.0]))
+    game = encode(s, MechanismSpec(family="gsp", weight_rule="unit", k_max=6))
+    with pytest.raises(ValueError, match=match):
+        enumerate_psne(game, allowed)
 
 
 def test_negative_budget_rejected():
