@@ -100,10 +100,10 @@ def _pair_kernel(slots: np.ndarray, stacks: list[np.ndarray], gsp: bool, ties: s
     return kernel
 
 
-def _prices(ebi: EffectiveBidIndex, i: int, weight: float, rounding: str) -> np.ndarray:
-    """Bidder i's rounded price per argmax index: every slot below its top bid."""
-    return np.array([rounded_price(float(v), weight, rounding)
-                     for v in ebi.values[:ebi.index[i, -1]]], dtype=float)
+def _prices(values: list[float], top: int, weight: float, rounding: str) -> np.ndarray:
+    """A bidder's rounded price per argmax index: every slot below its top
+    bid's slot ``top``; ``values`` is ``EffectiveBidIndex.values`` as a list."""
+    return np.array([rounded_price(v, weight, rounding) for v in values[:top]], dtype=float)
 
 
 def _extended_rows(setting: AuctionSetting) -> tuple[np.ndarray, np.ndarray]:
@@ -142,20 +142,22 @@ def _encode_no_ext(setting: AuctionSetting, mech: MechanismSpec,
         for k in range(1, k_max + 1):
             by_value.setdefault(int(ebi.index[i, k]), []).append((i, k))
 
-    T = len(ebi.values)
+    values = ebi.values.tolist()
+    T = len(values)
     eq, gt, pm = {}, {}, {}
     for t in range(1, T):
         nodes.append(Node(SUM, in_arcs=[(agents[i][k], None) for i, k in by_value[t]],
-                          label=f"eq@{ebi.values[t]:g}"))
+                          label=f"eq@{values[t]:g}"))
         eq[t] = len(nodes) - 1
     for t in range(T - 1, 0, -1):
         arcs = [(eq[t + 1], None), (gt[t + 1], None)] if t + 1 < T else []
-        nodes.append(Node(SUM, in_arcs=arcs, label=f"above@{ebi.values[t]:g}"))
+        nodes.append(Node(SUM, in_arcs=arcs, label=f"above@{values[t]:g}"))
         gt[t] = len(nodes) - 1
     if gsp:
+        # slot t's price node reads every lower slot; each owns its slice
+        price_arcs = [(eq[u], values[u]) for u in range(1, T)]
         for t in range(1, T):
-            arcs = [(eq[u], float(ebi.values[u])) for u in range(1, t)]
-            nodes.append(Node(ARGMAX, in_arcs=arcs, label=f"price@{ebi.values[t]:g}"))
+            nodes.append(Node(ARGMAX, in_arcs=price_arcs[:t - 1], label=f"price@{values[t]:g}"))
             pm[t] = len(nodes) - 1
 
     eq_side = {}
@@ -178,7 +180,7 @@ def _encode_no_ext(setting: AuctionSetting, mech: MechanismSpec,
     stacks = []
     for i in range(n):
         width = int(ebi.index[i, k_max]) if gsp else 1
-        prices = _prices(ebi, i, float(w[i]), mech.rounding) if gsp else None
+        prices = _prices(values, width, float(w[i]), mech.rounding) if gsp else None
         if not lex:
             # axes (rival ties, rivals above)
             ell = np.arange(1, n + 1)[:, None]
@@ -276,7 +278,8 @@ def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec,
     ebi = effective_bid_index(w, k_max, cap)
     gsp = mech.family == "gsp"
     lex = mech.tie_rule == "lexicographic"
-    T = len(ebi.values)
+    values = ebi.values.tolist()
+    T = len(values)
 
     est = n * k_max * (2 ** (2 * (n - 1))) * max(T - 1, 1)
     if est > entry_cap:
@@ -297,13 +300,13 @@ def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec,
 
     present, pm = {}, {}
     for t in range(1, T):
-        nodes.append(Node(OR, in_arcs=by_slot[t], label=f"present@{ebi.values[t]:g}"))
+        nodes.append(Node(OR, in_arcs=by_slot[t], label=f"present@{values[t]:g}"))
         present[t] = len(nodes) - 1
     if gsp:
-        price_arcs = [(present[u], float(ebi.values[u])) for u in range(1, T)]
+        price_arcs = [(present[u], values[u]) for u in range(1, T)]
         for t in range(1, T):
             nodes.append(Node(ARGMAX, in_arcs=price_arcs[:t - 1],
-                              label=f"price@{ebi.values[t]:g}"))
+                              label=f"price@{values[t]:g}"))
             pm[t] = len(nodes) - 1
 
     tables: dict[int, object] = {}
@@ -311,7 +314,8 @@ def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec,
     r_count = n - 1
     for i in range(n):
         rivals = [j for j in range(n) if j != i]
-        prices = _prices(ebi, i, float(w[i]), mech.rounding) if gsp else None
+        prices = (_prices(values, int(ebi.index[i, -1]), float(w[i]), mech.rounding)
+                  if gsp else None)
         util = _gim_utilities(setting, i, mech, prices)
         tables[agents[i][0]] = {(): 0.0}
         for k in range(1, k_max + 1):

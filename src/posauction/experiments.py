@@ -12,7 +12,9 @@ instead of being dropped.
 
 Outputs are deterministic functions of (config, seed): per-instance JSON
 artifacts, one summary CSV per distribution, and one relation matrix per
-(distribution, metric) in CSV and markdown form.
+(distribution, metric) in CSV and markdown form.  Every JSON file is written
+by :func:`_dumps`: 2-space indented, keys sorted, the same bytes as
+``json.dumps(..., indent=2, sort_keys=True)``, plus a closing newline.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import copy
 import dataclasses
 import json
 import os
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -313,6 +316,55 @@ def _run_instance_task(args) -> dict:
 # --------------------------------------------------------------------------
 # aggregation and emission
 
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+_quote = json.encoder.encode_basestring_ascii
+# the body of a compact list of rows of numbers, bools and nulls
+_ROWS = re.compile(r"\[[^][]*\](?:,\[[^][]*\])*")
+
+
+def _dumps(obj, nl: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    That call always runs the pure-Python encoder, one token at a time.
+    Here a list of numbers, bools and nulls, or a list of rows of them (a
+    record's ``profiles``), is one compact call to the C encoder: their
+    texts hold no commas or brackets, so the line breaks go in after each
+    comma and around each row.  ``nl`` is the newline plus the indent of
+    ``obj``'s own line.
+    """
+    if isinstance(obj, str):
+        return _quote(obj)
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return ("{" + inner + ("," + inner).join(
+            _quote(key) + ": " + _dumps(value, inner) for key, value in sorted(obj.items()))
+            + nl + "}")
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if not isinstance(obj[0], (str, dict)):
+            body = _compact(obj)[1:-1]
+            # with no strings there are no keys, so the only dict is {}, a
+            # token like a number
+            if '"' not in body:
+                if "[" not in body:
+                    return "[" + inner + body.replace(",", "," + inner) + nl + "]"
+                if _ROWS.fullmatch(body):
+                    row_inner = inner + "  "
+                    return "[" + inner + ("," + inner).join(
+                        "[" + row_inner + row.replace(",", "," + row_inner) + inner + "]"
+                        if row else "[]" for row in body[1:-1].split("],[")) + nl + "]"
+        return "[" + inner + ("," + inner).join(_dumps(x, inner) for x in obj) + nl + "]"
+    return _compact(obj)
+
+
+def _write_json(path: str, obj) -> None:
+    with open(path, "w") as fh:
+        fh.write(_dumps(obj) + "\n")
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".10g")
 
@@ -443,9 +495,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config_resolved.json"), "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "config_resolved.json"), config_to_dict(cfg))
 
     report = RunReport(out_dir)
     sweep_cells = [(None, None)]
@@ -477,10 +527,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
                          for i in range(cfg.instances)]
                 records = list(run_all(_run_instance_task, tasks))
                 for record in records:
-                    path = os.path.join(ddir, "instances", f"{record['instance']:04d}.json")
-                    with open(path, "w") as fh:
-                        json.dump(record, fh, indent=2, sort_keys=True)
-                        fh.write("\n")
+                    _write_json(os.path.join(ddir, "instances",
+                                             f"{record['instance']:04d}.json"), record)
                     if record["error"] is not None:
                         report.failures.append({"distribution": dist_name,
                                                 "instance": record["instance"],
@@ -520,9 +568,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
                              f"({len(good)}/{cfg.instances} instances, {rate:.2f}/s)")
 
     if report.failures:
-        with open(os.path.join(out_dir, "failures.json"), "w") as fh:
-            json.dump(report.failures, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(out_dir, "failures.json"), report.failures)
     return report
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,16 +50,13 @@ class EquilibriumSet:
 
     ``solved`` is False when the scan hit its profile budget, in which case
     ``profiles`` holds only the equilibria found before the cutoff and
-    downstream statistics substitute metric bounds.  ``metrics`` is filled
-    by the experiment pipeline, one value list per metric aligned with
-    ``profiles``.
+    downstream statistics substitute metric bounds.
     """
 
     game_id: str
     profiles: list[tuple[int, ...]]
     solved: bool
     scanned: int = 0
-    metrics: dict[str, list[float]] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.profiles)

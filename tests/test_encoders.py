@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from posauction.agg import evaluate_profile, size_stats
+from posauction.agg import ARGMAX, dump_graph, evaluate_profile, size_stats
 from posauction.encoders import (EncodingSizeError, effective_bid_index, encode,
                                  encode_gfp, encode_gim_gsp, encode_gsp)
 from posauction.mechanisms import (FAMILIES, ROUNDING_RULES, TIE_LOTTERIES, TIE_RULES,
-                                   WEIGHT_RULES, MechanismSpec, simulate_outcome)
+                                   WEIGHT_RULES, MechanismSpec, apply_weight_rule,
+                                   simulate_outcome)
 from posauction.models import (DISTRIBUTION_NAMES, AuctionSetting, DistributionSpec,
                                GimSetting, normalize_setting, sample_setting)
 
@@ -270,3 +271,102 @@ def test_payoff_kernel_on_a_box_equals_column_form():
                 on_box = game.payoffs(i, box)
                 assert on_box.shape == tuple(len(a) for a in axes)
                 assert on_box.tobytes() == game.payoffs(i, columns).tobytes()
+
+
+@pytest.mark.parametrize("tie", ["uniform", "lexicographic"])
+@pytest.mark.parametrize("fam,wr", [("gfp", "unit"), ("gsp", "unit"), ("gsp", "quality")])
+def test_no_ext_price_nodes_read_every_lower_slot(fam, wr, tie):
+    k = 8
+    s = normalize_setting(sample_setting(DistributionSpec.from_name("v-ln"), 4, 4,
+                                         rng=np.random.default_rng(5)), k)
+    mech = MechanismSpec(family=fam, weight_rule=wr, tie_rule=tie, k_max=k)
+    game = encode(s, mech)
+    values = effective_bid_index(apply_weight_rule(s, mech), k).values
+    eq = [i for i, node in enumerate(game.nodes) if node.label.startswith("eq@")]
+    prices = [node for node in game.nodes if node.kind == ARGMAX]
+    assert [node.label for node in prices] == (
+        [f"price@{v:g}" for v in values[1:]] if fam == "gsp" else [])
+    for t, node in enumerate(prices, start=1):
+        assert node.in_arcs == [(eq[u - 1], float(values[u])) for u in range(1, t)]
+        weights = [w for _, w in node.in_arcs]
+        assert all(a < b for a, b in zip(weights, weights[1:]))
+    # each node owns its arc list
+    before = [list(node.in_arcs) for node in prices]
+    for node in prices:
+        node.in_arcs.append((-1, -1.0))
+        assert [x.in_arcs for x in prices if x is not node] == [
+            b for x, b in zip(prices, before) if x is not node]
+        node.in_arcs.pop()
+
+
+WGSP_V_PAIR_K3 = """\
+0\taction\towner=0\t[] bid(0,0)
+1\taction\towner=0\t[9, 16, 19] bid(0,1)
+2\taction\towner=0\t[11, 14, 21] bid(0,2)
+3\taction\towner=0\t[12, 13, 22] bid(0,3)
+4\taction\towner=1\t[] bid(1,0)
+5\taction\towner=1\t[8, 17, 18] bid(1,1)
+6\taction\towner=1\t[9, 16, 19] bid(1,2)
+7\taction\towner=1\t[10, 15, 20] bid(1,3)
+8\tsum\towner=-\t[5] eq@0.4
+9\tsum\towner=-\t[1, 6] eq@0.8
+10\tsum\towner=-\t[7] eq@1.2
+11\tsum\towner=-\t[2] eq@1.6
+12\tsum\towner=-\t[3] eq@2.4
+13\tsum\towner=-\t[] above@2.4
+14\tsum\towner=-\t[12, 13] above@1.6
+15\tsum\towner=-\t[11, 14] above@1.2
+16\tsum\towner=-\t[10, 15] above@0.8
+17\tsum\towner=-\t[9, 16] above@0.4
+18\targmax\towner=-\t[] price@0.4
+19\targmax\towner=-\t[8(w=0.4)] price@0.8
+20\targmax\towner=-\t[8(w=0.4), 9(w=0.8)] price@1.2
+21\targmax\towner=-\t[8(w=0.4), 9(w=0.8), 10(w=1.2)] price@1.6
+22\targmax\towner=-\t[8(w=0.4), 9(w=0.8), 10(w=1.2), 11(w=1.6)] price@2.4
+"""
+
+UGSP_LEX_EOS_PAIR_K2 = """\
+0\taction\towner=0\t[] bid(0,0)
+1\taction\towner=0\t[12, 13, 9, 10] bid(0,1)
+2\taction\towner=0\t[16, 17, 8, 11] bid(0,2)
+3\taction\towner=1\t[] bid(1,0)
+4\taction\towner=1\t[14, 15, 9, 10] bid(1,1)
+5\taction\towner=1\t[18, 19, 8, 11] bid(1,2)
+6\tsum\towner=-\t[1, 4] eq@1
+7\tsum\towner=-\t[2, 5] eq@2
+8\tsum\towner=-\t[] above@2
+9\tsum\towner=-\t[7, 8] above@1
+10\targmax\towner=-\t[] price@1
+11\targmax\towner=-\t[6(w=1)] price@2
+12\tsum\towner=-\t[] eq_lo@1/0
+13\tsum\towner=-\t[4] eq_hi@1/0
+14\tsum\towner=-\t[1] eq_lo@1/1
+15\tsum\towner=-\t[] eq_hi@1/1
+16\tsum\towner=-\t[] eq_lo@2/0
+17\tsum\towner=-\t[5] eq_hi@2/0
+18\tsum\towner=-\t[2] eq_lo@2/1
+19\tsum\towner=-\t[] eq_hi@2/1
+"""
+
+GFP_EOS_PAIR_K2 = """\
+0\taction\towner=0\t[] bid(0,0)
+1\taction\towner=0\t[6, 9] bid(0,1)
+2\taction\towner=0\t[7, 8] bid(0,2)
+3\taction\towner=1\t[] bid(1,0)
+4\taction\towner=1\t[6, 9] bid(1,1)
+5\taction\towner=1\t[7, 8] bid(1,2)
+6\tsum\towner=-\t[1, 4] eq@1
+7\tsum\towner=-\t[2, 5] eq@2
+8\tsum\towner=-\t[] above@2
+9\tsum\towner=-\t[7, 8] above@1
+"""
+
+
+@pytest.mark.parametrize("setting,mech,expected", [
+    (V_PAIR, MechanismSpec(family="gsp", weight_rule="quality", k_max=3), WGSP_V_PAIR_K3),
+    (EOS_PAIR, MechanismSpec(family="gsp", weight_rule="unit", tie_rule="lexicographic",
+                             k_max=2), UGSP_LEX_EOS_PAIR_K2),
+    (EOS_PAIR, MechanismSpec(family="gfp", weight_rule="unit", k_max=2), GFP_EOS_PAIR_K2),
+])
+def test_no_ext_graph_dump_is_pinned(setting, mech, expected):
+    assert dump_graph(encode(setting, mech)) == expected

@@ -1,7 +1,11 @@
 import json
+import math
 import os
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from posauction import experiments
 from posauction.cli import main as cli_main
@@ -240,6 +244,79 @@ def test_run_instance_records_fields():
     cell = rec["mechanisms"]["wgsp"]
     assert "bounds" in cell
     assert cell["solved"]
+
+
+def _reference_json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _leaves(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [leaf for x in obj for leaf in _leaves(x)]
+    return [obj]
+
+
+def test_dumps_matches_json_dumps_on_records():
+    cfg = preset_config("main", "desk")
+    leaves = []
+    for dist_index, name in enumerate(DISTRIBUTION_NAMES):
+        for instance in range(2):
+            record = run_instance(cfg, name, dist_index, instance, cfg.n, cfg.m, cfg.k)
+            assert experiments._dumps(record) == _reference_json(record)
+            leaves += _leaves(record)
+    # the records carry numpy scalars and nulls next to plain floats
+    assert any(type(x) is np.float64 for x in leaves)
+    assert any(x is None for x in leaves)
+
+
+_numbers = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.floats().map(np.float64))
+_texts = st.text(st.sampled_from(',[]{}":\\ a\u00e9\u20ac\U0001f600\n')) | st.text()
+_trees = st.recursive(
+    _numbers | _texts | st.lists(_numbers | _texts, max_size=4)
+    | st.lists(st.lists(_numbers | _texts, max_size=4), max_size=4),
+    lambda kids: (st.lists(kids, max_size=5) | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(_texts, kids, max_size=4)),
+    max_leaves=40)
+
+
+@given(tree=_trees)
+@settings(max_examples=200, deadline=None)
+@example(tree=[])
+@example(tree={})
+@example(tree=[[]])
+@example(tree=[[], [1, 2.5], []])
+@example(tree=[[1], 2, [3]])
+@example(tree=[1, [2]])
+@example(tree=[[1, [2]], [3]])
+@example(tree=[1, "a,b"])
+@example(tree=[[1], ["],["]])
+@example(tree=[[{"a": 1}]])
+@example(tree=[0, {}, [{}]])
+@example(tree=(1, (2, 3), ()))
+@example(tree=[True, 1, 0, False, None])
+@example(tree=[math.nan, math.inf, -math.inf, -0.0])
+@example(tree={"a,b": ["[x]", "{y}", '"z"'], "\u00e9": [1, "2"]})
+def test_dumps_matches_json_dumps(tree):
+    assert experiments._dumps(tree) == _reference_json(tree)
+
+
+@given(tree=st.dictionaries(st.text(max_size=3) | st.integers() | st.floats() | st.booleans()
+                            | st.none(), st.integers() | st.lists(st.integers()), max_size=4))
+@example(tree={1: "a"})
+@example(tree={"a": 1, 2: "b"})
+@example(tree={(1, 2): 0})
+@example(tree={"a": {None: [1]}})
+def test_dumps_non_str_keys_match_or_raise(tree):
+    # json.dumps converts int, float, bool and None keys; the writer may
+    # refuse them instead, but never writes other bytes
+    try:
+        out = experiments._dumps(tree)
+    except TypeError:
+        return
+    assert out == _reference_json(tree)
 
 
 def test_cli_run_and_describe(tmp_path, capsys):
