@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .experiments import (PRESETS, ExperimentConfig, config_from_dict,
+from .experiments import (PRESETS, PROFILES, ExperimentConfig, config_from_dict,
                           describe_instance, run_experiment)
 
 
@@ -31,10 +31,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="JSON experiment config (fields override the preset)")
     run.add_argument("--preset", choices=list(PRESETS),
                      help="named experiment preset")
-    run.add_argument("--profile", choices=("desk", "paper"), default="desk",
-                     help="problem scale: desk (n=4, m=4, k=8, 50 instances) "
-                          "or paper (n=5, m=5, k=30, 200 instances); "
-                          "default: %(default)s")
+    scales = " or ".join(
+        f"{name} (n={p['n']}, m={p['m']}, k={p['k']}, {p['instances']} instances)"
+        for name, p in PROFILES.items())
+    run.add_argument("--profile", choices=list(PROFILES), default="desk",
+                     help=f"problem scale: {scales}; default: %(default)s")
     run.add_argument("--seed", type=int, help="master seed override")
     run.add_argument("--jobs", type=int, default=1,
                      help="parallel instance workers (default: %(default)s)")

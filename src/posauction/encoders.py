@@ -8,6 +8,11 @@ payments.  Distinct (bidder, bid) pairs with the same effective bid share
 one counting node, so tie counting works across equal-weight bidders and
 argmax arc weights stay pairwise distinct.
 
+The externality encoder instead gives each action node one base-3 rank
+digit per rival (0 below, 1 tied, 2 above), read by a sum node shared by
+every slot that splits that rival's bids the same way, so its tables span
+only the reachable digit codes.
+
 Bids of zero are non-participation: their action nodes carry constant-zero
 tables and contribute no tokens anywhere else.
 """
@@ -66,20 +71,23 @@ def _pair_kernel(slots: np.ndarray, stacks: list[np.ndarray], gsp: bool, ties: s
     at own-bid offset + sum over rivals j of ``P_ij[b_i, b_j]`` (+ under GSP
     max over j of ``R_ij[b_i, b_j]``, j's slot where below i's, else 0).
     ``P_ij`` steps the tie axis (``"split"``: the second one if j > i) or
-    the above axis (second last) by one, or under ``"mask"`` by j's rank
-    bit.  Each table is (k+1)^2, so on an ``np.ix_`` box each term is 2-D;
-    built on the first call, they cost a game read only by its graph nothing.
+    the above axis (second last) by one; under ``"digit"`` it steps the code
+    axis by j's rank digit, 3^p for a tie and twice that above, where p
+    counts the rivals ranked after j.  Each table is (k+1)^2, so on an
+    ``np.ix_`` box each term is 2-D; built on the first call, they cost a
+    game read only by its graph nothing.
     """
     @functools.cache
     def tables():  # all at once, over (i, j, b_i, b_j); the diagonal goes unused
         n = len(stacks)
         axis = np.array([s.strides for s in stacks]) // stacks[0].itemsize
         later = np.arange(n) > np.arange(n)[:, None]
-        unit = 1 << (n - 2 - np.arange(n) + later).clip(0) if ties == "mask" else 1
+        unit = 3 ** (n - 2 - np.arange(n) + later).clip(0) if ties == "digit" else 1
         tie = np.where((ties == "split") & later, axis[:, 2:3], axis[:, 1:2]) * unit
+        above = axis[:, -2:-1] * unit * (2 if ties == "digit" else 1)
         mine, theirs = slots[:, None, :, None], slots[None, :, None, :]
         step = (tie[..., None, None] * (theirs == mine)
-                + (axis[:, -2:-1] * unit)[..., None, None] * (theirs > mine))
+                + above[..., None, None] * (theirs > mine))
         # last rival first: on a box the full-size adds then run longer rows
         return (np.arange(slots.shape[1]) * axis[:, :1], step,
                 np.where(theirs < mine, theirs, 0), [stack.ravel() for stack in stacks],
@@ -256,7 +264,14 @@ def encode_gsp(setting: AuctionSetting, mech: MechanismSpec,
 def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec,
                    entry_cap: int = DEFAULT_ENTRY_CAP,
                    cap: int = DEFAULT_VALUE_CAP) -> ActionGraphGame:
-    """Externality-setting encoding with per-rival tie/above indicator nodes.
+    """Externality-setting encoding with one rank-digit node per rival.
+
+    Against bidder i's slot t, rival j is one base-3 digit: 0 below, 1 tied,
+    2 above.  A SUM node reads it directly, counting j's bids at a slot >= t
+    once and those above t twice; every slot that splits j's bids the same
+    way shares that node, across bidders too.  Each bid's table spans the
+    digits of every rival, rank 0 most significant (then the price index
+    under GSP), so every cell is reachable.
 
     Utility tables average over the tied-rival lottery: by default each tied
     rival ranks above independently with probability one half; the
@@ -264,24 +279,19 @@ def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec,
     tied block instead.  The bidder pays the argmax price only when every
     tied rival ranks above it (it sits at the bottom of its block).
 
-    The tables are evaluated per bidder (see :func:`_gim_utilities`): a
-    lottery term's click weight depends only on the bidder and the (tied,
-    above) rival masks, so each term is one numpy operation over every bid
-    and price index at once.  The terms of a cell are summed in the same
-    lottery order as a scalar per-cell evaluation would sum them, which
-    makes every cell the same IEEE result, bit for bit.  Each bid's table
-    is a view of its row of that array, and the game's payoff kernel reads
-    the array directly (see :func:`_pair_kernel`).
+    The tables are evaluated per bidder (see :func:`_gim_utilities`) into
+    one array over (bid, digit code, price index); each bid's table is a
+    view of its row, and the game's payoff kernel reads the array directly
+    (see :func:`_pair_kernel`).
     """
     n, k_max = setting.n, mech.k_max
     w = apply_weight_rule(setting, mech)
     ebi = effective_bid_index(w, k_max, cap)
     gsp = mech.family == "gsp"
-    lex = mech.tie_rule == "lexicographic"
     values = ebi.values.tolist()
     T = len(values)
 
-    est = n * k_max * (2 ** (2 * (n - 1))) * max(T - 1, 1)
+    est = n * k_max * 3 ** (n - 1) * max(T - 1, 1)
     if est > entry_cap:
         raise EncodingSizeError(
             f"estimated {est} table entries exceed the cap of {entry_cap}")
@@ -294,130 +304,189 @@ def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec,
     bid_arcs = [[(agents[j][kk], None) for kk in range(1, k_max + 1)] for j in range(n)]
     bid_slots = [ebi.index[j, 1:].tolist() for j in range(n)]
     by_slot: dict[int, list[tuple[int, None]]] = {}
+    owners: dict[int, list[int]] = {}
     for j in range(n):
         for arc, t in zip(bid_arcs[j], bid_slots[j]):
             by_slot.setdefault(t, []).append(arc)
+            owners.setdefault(t, []).append(j)
+    labels = [f"{v:g}" for v in values]
 
     present, pm = {}, {}
     for t in range(1, T):
-        nodes.append(Node(OR, in_arcs=by_slot[t], label=f"present@{values[t]:g}"))
+        nodes.append(Node(OR, in_arcs=by_slot[t], label=f"present@{labels[t]}"))
         present[t] = len(nodes) - 1
     if gsp:
         price_arcs = [(present[u], values[u]) for u in range(1, T)]
         for t in range(1, T):
             nodes.append(Node(ARGMAX, in_arcs=price_arcs[:t - 1],
-                              label=f"price@{values[t]:g}"))
+                              label=f"price@{labels[t]}"))
             pm[t] = len(nodes) - 1
+
+    # rival j's rank digit against slot t (0 below, 1 tied, 2 above) is a
+    # SUM over j's bids at a slot >= t plus those above t: its bids lo+1..hi
+    # tie t and those above hi rank above, so every slot with the same (lo,
+    # hi) run of j shares one node; j needs none against a slot only it bids
+    rank: list[list[tuple[int, None] | None]] = []
+    for j in range(n):
+        shared: dict[tuple[int, int], tuple[int, None]] = {}
+        row = [None] * T
+        for t, who in owners.items():
+            if who == [j]:
+                continue
+            lo = bisect.bisect_left(bid_slots[j], t)
+            hi = bisect.bisect_right(bid_slots[j], t, lo)
+            arc = shared.get((lo, hi))
+            if arc is None:
+                nodes.append(Node(SUM, in_arcs=bid_arcs[j][lo:] + bid_arcs[j][hi:],
+                                  label=f"rank<-{j}@{lo}:{hi}"))
+                arc = shared[lo, hi] = (len(nodes) - 1, None)
+            row[t] = arc
+        rank.append(row)
 
     tables: dict[int, object] = {}
     utils = []
-    r_count = n - 1
+    dims = (3,) * (n - 1)
     for i in range(n):
-        rivals = [j for j in range(n) if j != i]
         prices = (_prices(values, int(ebi.index[i, -1]), float(w[i]), mech.rounding)
                   if gsp else None)
         util = _gim_utilities(setting, i, mech, prices)
         tables[agents[i][0]] = {(): 0.0}
         for k in range(1, k_max + 1):
             node_id = agents[i][k]
-            t = int(ebi.index[i, k])
-            arcs: list[tuple[int, float | None]] = []
-            for j in rivals:
-                lo = bisect.bisect_left(bid_slots[j], t)
-                hi = bisect.bisect_right(bid_slots[j], t, lo)
-                nodes.append(Node(OR, in_arcs=bid_arcs[j][lo:hi],
-                                  label=f"tied({i},{k})<-{j}"))
-                arcs.append((len(nodes) - 1, None))
-            for j in rivals:
-                hi = bisect.bisect_right(bid_slots[j], t)
-                nodes.append(Node(OR, in_arcs=bid_arcs[j][hi:],
-                                  label=f"over({i},{k})<-{j}"))
-                arcs.append((len(nodes) - 1, None))
+            t = bid_slots[i][k - 1]
+            arcs = [rank[j][t] for j in range(n) if j != i]
             if gsp:
                 arcs.append((pm[t], None))
+                block = util[k, :, :t].reshape(dims + (t,))
+            else:
+                block = util[k, :, 0].reshape(dims)
             nodes[node_id].in_arcs = arcs
-
-            # rank 0 is the most significant bit of both mask axes
-            dims = (2,) * (2 * r_count) + ((t,) if gsp else ())
-            block = util[k, :, :, :t] if gsp else util[k, :, :, 0]
-            tables[node_id] = ConfigTable(dims, (0,) * len(dims), block.reshape(dims))
+            tables[node_id] = ConfigTable(block.shape, (0,) * block.ndim, block)
         utils.append(util)
 
     return ActionGraphGame(agents, nodes, tables,
-                           payoffs=_pair_kernel(ebi.index, utils, gsp, "mask"))
+                           payoffs=_pair_kernel(ebi.index, utils, gsp, "digit"))
+
+
+def _digit_cells(r_count: int) -> list[tuple[int, int]]:
+    """(tied, above) rival masks of every digit code in base-3 order, rival
+    rank 0 the most significant digit; mask bit r is rank r."""
+    cells = [(0, 0)]
+    for r in range(r_count):
+        bit = 1 << r
+        cells = [cell for tied, above in cells
+                 for cell in ((tied, above), (tied | bit, above), (tied, above | bit))]
+    return cells
+
+
+def _popcounts(masks: list[int]) -> np.ndarray:
+    return np.array([bin(mask).count("1") for mask in masks], dtype=np.int64)
+
+
+@functools.cache
+def _lottery_plan(r_count: int, lottery: str):
+    """The random tie lottery's terms over every digit code, built once per
+    shape.
+
+    Choice bit b ranks the b-th tied rival above and the last choice puts
+    the bidder at the bottom of its block, as in a scalar per-cell sum.
+    Codes are ordered by tie-block size, largest first, so a cell's term s
+    exists iff its row is in the first ``count`` rows of term s; ``rows``
+    maps each base-3 code to its row.  Per term (the non-last ones in order,
+    then the last one of every code in base-3 order) the flat arrays hold
+    the full above-mask, how many rivals it holds and the probability.
+    """
+    cells = _digit_cells(r_count)
+    terms = []
+    for tied, above in cells:
+        tied_ranks = [r for r in range(r_count) if tied >> r & 1]
+        ell = len(tied_ranks)
+        choices = range(1 << ell)
+        subs = [sum(1 << r for b, r in enumerate(tied_ranks) if choice >> b & 1)
+                for choice in choices]
+        if lottery == "independent":
+            probs = [1.0 / (1 << ell)] * len(choices)
+        else:
+            probs = [math.factorial(s) * math.factorial(ell - s) / math.factorial(ell + 1)
+                     for s in (bin(choice).count("1") for choice in choices)]
+        terms.append([(above | sub, prob) for sub, prob in zip(subs, probs)])
+    order = sorted(range(len(cells)), key=lambda c: -len(terms[c]))
+    full, prob, spans = [], [], []
+    for s in range(len(terms[order[0]]) - 1):
+        having = [c for c in order if len(terms[c]) - 1 > s]
+        spans.append((len(full), len(having)))
+        full += [terms[c][s][0] for c in having]
+        prob += [terms[c][s][1] for c in having]
+    full += [cell[-1][0] for cell in terms]
+    prob += [cell[-1][1] for cell in terms]
+    # the inverse of order by a scatter: np.argsort's kernels cost resident memory
+    rows = np.empty(len(cells), dtype=np.int64)
+    rows[order] = np.arange(len(cells))
+    return np.array(full), _popcounts(full), np.array(prob), spans, rows
+
+
+@functools.cache
+def _lex_plan(r_count: int, lower: int):
+    """The lexicographic term of every digit code: the rivals of smaller id
+    (mask ``lower``) rank above a tie; the full above-mask, how many rivals
+    it holds, and whether the bidder is at the bottom of its block."""
+    cells = _digit_cells(r_count)
+    full = [above | (tied & lower) for tied, above in cells]
+    bottom = np.array([(tied & ~lower) == 0 for tied, _ in cells])
+    return np.array(full), _popcounts(full), bottom
 
 
 def _gim_utilities(setting: GimSetting, i: int, mech: MechanismSpec,
                    prices: np.ndarray | None) -> np.ndarray:
-    """Expected utilities of bidder i over (bid, tied code, above code,
-    price index); zero at bid 0 and NaN where a rival would both tie and
-    rank above.
+    """Expected utilities of bidder i over (bid, digit code, price index);
+    zero at bid 0.
 
-    A mask code puts rival rank 0 in its most significant bit.  ``prices``
-    holds the rounded price per argmax index (None under first price, where
-    the bottom of a tied block pays its own bid and the last axis has
-    length one).  Each lottery term of a cell is (prob * clicks) * (v -
-    price): its weight is a scalar of the masks and its price factor a
-    vector over the bids, or over the price indices for the bottom term.
+    A digit code puts rival rank 0 in its most significant base-3 digit (0
+    below, 1 tied, 2 above).  ``prices`` holds the rounded price per argmax
+    index (None under first price, where the bottom of a tied block pays its
+    own bid and the last axis has length one).  Each lottery term of a cell
+    is (prob * clicks) * (v - price): its weight is a scalar of the cell and
+    its price factor a vector over the bids, or over the price indices for
+    the bottom term.  The weights of every term of every cell come from one
+    gather over a cached plan (:func:`_lottery_plan`, :func:`_lex_plan`);
+    the terms of a cell are then summed in lottery order, one numpy step per
+    term over the cells that have it, so each cell is the IEEE result a
+    scalar per-cell evaluation gives, sign of zero included.
     """
     k_max = mech.k_max
-    lex = mech.tie_rule == "lexicographic"
     r_count = setting.n - 1
-    side = 1 << r_count
-    rivals = setting.rivals(i)
     q = float(setting.qualities[i])
     v = float(setting.values[i])
     f = setting.externality[i]
     own = v - np.arange(1, k_max + 1, dtype=float)
     paid = None if prices is None else v - prices
     width = 1 if prices is None else len(prices)
-    code = [sum((mask >> b & 1) << (r_count - 1 - b) for b in range(r_count))
-            for mask in range(side)]
-    util = np.full((k_max + 1, side, side, width), np.nan)
+    util = np.empty((k_max + 1, 3 ** r_count, width))
     util[0] = 0.0
 
-    def weight(full: int, prob: float) -> float:
-        pos = bin(full).count("1") + 1
-        clicks = q * float(f[full]) if pos <= setting.m else 0.0
-        return prob * clicks
-
-    for tied in range(side):
-        tied_ranks = [r for r in range(r_count) if tied >> r & 1]
-        ell = len(tied_ranks)
-        if lex:
-            lex_sub = sum(1 << r for r in tied_ranks if rivals[r] < i)
+    if mech.tie_rule == "lexicographic":
+        # deterministic rank: rivals 0..i-1 are ranks 0..i-1
+        full, ahead, bottom = _lex_plan(r_count, (1 << i) - 1)
+        weight = np.where(ahead < setting.m, q * f[full], 0.0)
+        fixed = (weight[:, None] * own).T
+        if paid is None:
+            util[1:, :, 0] = fixed
         else:
-            # choice bit b ranks the b-th tied rival above; the last choice
-            # puts the bidder at the bottom of its block
-            choices = range(1 << ell)
-            subs = [sum(1 << r for b, r in enumerate(tied_ranks) if choice >> b & 1)
-                    for choice in choices]
-            if mech.gim_tie_lottery == "independent":
-                probs = [1.0 / (1 << ell)] * len(choices)
-            else:
-                probs = [math.factorial(s) * math.factorial(ell - s) / math.factorial(ell + 1)
-                         for s in (bin(choice).count("1") for choice in choices)]
-        for above in range(side):
-            if tied & above:
-                continue  # a rival cannot both tie and rank above
-            cell = util[1:, code[tied], code[above], :]
-            if lex:
-                # deterministic rank: bottom of the block iff every tied
-                # rival has a smaller id
-                c = weight(above | lex_sub, 1.0)
-                if paid is not None and lex_sub == tied:
-                    cell[:] = c * paid
-                else:
-                    cell[:] = (c * own)[:, None]
-                continue
-            total = np.zeros(k_max)
-            for sub, prob in zip(subs[:-1], probs[:-1]):
-                total = total + weight(above | sub, prob) * own
-            c = weight(above | subs[-1], probs[-1])
-            if paid is None:
-                cell[:] = (total + c * own)[:, None]
-            else:
-                cell[:] = total[:, None] + c * paid
+            util[1:] = np.where(bottom[:, None], weight[:, None] * paid, fixed[..., None])
+        return util
+
+    full, ahead, prob, spans, rows = _lottery_plan(r_count, mech.gim_tie_lottery)
+    weight = prob * np.where(ahead < setting.m, q * f[full], 0.0)
+    terms = weight[:-len(rows), None] * own
+    total = np.zeros((len(rows), k_max))
+    for start, count in spans:
+        total[:count] += terms[start:start + count]
+    total = total[rows].T
+    last = weight[-len(rows):]
+    if paid is None:
+        util[1:, :, 0] = total + last * own[:, None]
+    else:
+        util[1:] = total[..., None] + last[:, None] * paid
     return util
 
 

@@ -579,6 +579,9 @@ def describe_instance(path: str) -> str:
     """Human-readable report of a serialized setting or instance record."""
     with open(path) as fh:
         doc = json.load(fh)
+    if "setting" not in doc and doc.get("error"):
+        raise ValueError(f"instance {doc.get('instance')} failed at its "
+                         f"{doc['error']['stage']} stage: {doc['error']['reason']}")
     setting_doc = doc.get("setting", doc)
     setting = setting_from_json_dict(setting_doc)
     lines = [f"model: {setting.model_kind}  n={setting.n}  m={setting.m}"]

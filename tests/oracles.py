@@ -120,8 +120,8 @@ def gim_cell(setting: GimSetting, i: int, k: int, tied: int, above: int,
 def gim_reference_tables(setting: GimSetting, mech: MechanismSpec):
     """Per (bidder, positive bid) the (dims, data) of the externality
     encoder's utility table, filled one cell at a time with
-    :func:`gim_cell`; NaN marks the cells where a rival would both tie and
-    rank above."""
+    :func:`gim_cell`.  Each rival is one base-3 axis in rank order (0
+    below, 1 tied, 2 above), then the price index under GSP."""
     n, k_max = setting.n, mech.k_max
     w = apply_weight_rule(setting, mech)
     ebi = effective_bid_index(w, k_max)
@@ -134,21 +134,18 @@ def gim_reference_tables(setting: GimSetting, mech: MechanismSpec):
             t = int(ebi.index[i, k])
             prices = [rounded_price(float(ebi.values[r]), float(w[i]), mech.rounding)
                       for r in range(t)]
-            dims = (2,) * (2 * r_count) + ((t,) if gsp else ())
+            dims = (3,) * r_count + ((t,) if gsp else ())
             data = np.full(dims, np.nan)
-            for tied in range(1 << r_count):
-                bits_t = tuple(tied >> r & 1 for r in range(r_count))
-                for above in range(1 << r_count):
-                    if tied & above:
-                        continue
-                    bits = bits_t + tuple(above >> r & 1 for r in range(r_count))
-                    if gsp:
-                        for r in range(t):
-                            data[bits + (r,)] = gim_cell(setting, i, k, tied, above,
-                                                         float(prices[r]), mech, lex)
-                    else:
-                        data[bits] = gim_cell(setting, i, k, tied, above, float(k),
-                                              mech, lex)
+            for digits in itertools.product(range(3), repeat=r_count):
+                tied = sum(1 << r for r, d in enumerate(digits) if d == 1)
+                above = sum(1 << r for r, d in enumerate(digits) if d == 2)
+                if gsp:
+                    for r in range(t):
+                        data[digits + (r,)] = gim_cell(setting, i, k, tied, above,
+                                                       float(prices[r]), mech, lex)
+                else:
+                    data[digits] = gim_cell(setting, i, k, tied, above, float(k),
+                                            mech, lex)
             out[i, k] = dims, data
     return out
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from posauction.agg import ARGMAX, dump_graph, evaluate_profile, size_stats
 from posauction.encoders import (EncodingSizeError, effective_bid_index, encode,
                                  encode_gfp, encode_gim_gsp, encode_gsp)
+from posauction.experiments import _instance_rng, preset_config
 from posauction.mechanisms import (FAMILIES, ROUNDING_RULES, TIE_LOTTERIES, TIE_RULES,
                                    WEIGHT_RULES, MechanismSpec, apply_weight_rule,
                                    simulate_outcome)
@@ -202,8 +204,9 @@ def test_gsp_tables_grow_at_most_quadratically_in_k():
 
 
 def test_gim_tables_equal_per_cell_reference():
-    # every table cell, NaN hole and sign of zero as the scalar reference
-    # computes it, over all tie, rounding and lottery options
+    # every cell of every rank-digit table, sign of zero included, as the
+    # scalar reference computes it at the cell's (tied, above) rival masks,
+    # over all tie, rounding and lottery options; no cell is a hole
     mechs = [MechanismSpec(family=fam, weight_rule=wr, tie_rule=tie, rounding=rnd,
                            k_max=3, gim_tie_lottery=lot)
              for fam, wr in (("gfp", "unit"), ("gsp", "unit"), ("gsp", "quality"))
@@ -219,8 +222,9 @@ def test_gim_tables_equal_per_cell_reference():
                 for (i, k), (dims, data) in gim_reference_tables(s, mech).items():
                     table = game.tables[game.agents[i][k]]
                     assert table.dims == dims and table.lo == (0,) * len(dims)
-                    assert np.array_equal(table.data, data, equal_nan=True)
-                    assert np.array_equal(np.signbit(table.data), np.signbit(data))
+                    assert not np.isnan(table.data).any()
+                    assert table.data.tobytes() == data.tobytes()
+                    assert len(table) == data.size
 
 
 def test_payoff_kernel_equals_graph_evaluation():
@@ -247,6 +251,64 @@ def test_payoff_kernel_equals_graph_evaluation():
             ref = np.array([evaluate_profile(game, p) for p in grid]).T
             for i in range(n):
                 assert np.array_equal(game.payoffs(i, bids), ref[i])
+
+
+def test_gim_payoff_kernel_equals_graph_evaluation_with_three_rivals():
+    # n=4 gives every bidder three rank digits, so the kernel's code steps
+    # (3^p per tie, twice that above) meet every digit position
+    grid = list(itertools.product(range(4), repeat=4))
+    bids = np.array(grid).T
+    for turn, name in enumerate(("cascade-uni", "hybrid-ln", "gim-uni")):
+        s = normalize_setting(sample_setting(DistributionSpec.from_name(name), 4, 3,
+                                             rng=np.random.default_rng(turn + 60)), 3)
+        for fam, wr in (("gfp", "unit"), ("gsp", "unit"), ("gsp", "quality")):
+            for tie in ("uniform", "lexicographic"):
+                for lot in ("independent", "permutation"):
+                    game = encode(s, MechanismSpec(family=fam, weight_rule=wr, tie_rule=tie,
+                                                   k_max=3, gim_tie_lottery=lot))
+                    ref = np.array([evaluate_profile(game, p) for p in grid]).T
+                    for i in range(4):
+                        assert np.array_equal(game.payoffs(i, bids), ref[i])
+
+
+# sha256 over bidder 0..n-1 of ``payoffs(i, np.ix_(every bid of every bidder))``
+GIM_PAYOFF_DIGESTS = [
+    ("cascade-ln", 4, 3, 5, dict(family="gsp", weight_rule="quality"),
+     "775db22e900aaad789b3f15b294223f610e68e140e141c552571b7a955fd0ff3"),
+    ("gim-uni", 4, 4, 4, dict(family="gsp", weight_rule="unit", tie_rule="lexicographic",
+                              gim_tie_lottery="permutation"),
+     "7fe946a03452d491809a577246254faf769aac6c06869165c2c7ea1f08796473"),
+    ("hybrid-uni", 4, 2, 5, dict(family="gfp", weight_rule="unit"),
+     "bcdf6b21dcfd3a74eefada7569d24c6aa0e3edf24cc2de12d51c4c57014a1ca1"),
+    ("cascade-uni", 5, 5, 3, dict(family="gsp", weight_rule="cascade", rounding="nearest",
+                                  gim_tie_lottery="permutation"),
+     "3c73ae1d8e16dd1f6aa900ae2654213cd4148624059889f01549e299e6ac3008"),
+]
+
+
+@pytest.mark.parametrize("name,n,m,k,mech,digest", GIM_PAYOFF_DIGESTS,
+                         ids=[case[0] for case in GIM_PAYOFF_DIGESTS])
+def test_gim_payoffs_are_pinned(name, n, m, k, mech, digest):
+    s = normalize_setting(sample_setting(DistributionSpec.from_name(name), n, m,
+                                         rng=np.random.default_rng(11)), k)
+    game = encode_gim_gsp(s, MechanismSpec(k_max=k, **mech))
+    box = np.ix_(*[np.arange(k + 1)] * n)
+    h = hashlib.sha256()
+    for i in range(n):
+        h.update(game.payoffs(i, box).tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_gim_tables_fit_the_cap_at_scale_n_six_bidders():
+    # the paper-scale scale_n sweep's cascade-ln wGSP games at n=6 (quality
+    # weights: about 150 effective-bid slots) encode under the default cap
+    cfg = preset_config("scale_n", "paper")
+    dist_index = cfg.distributions.index("cascade-ln")
+    mech = next(mc for mc in cfg.mechanisms if mc.label == "wgsp").spec(cfg.k)
+    s = normalize_setting(sample_setting(DistributionSpec.from_name("cascade-ln"), 6, cfg.m,
+                                         rng=_instance_rng(cfg.seed, dist_index, 0)), cfg.k)
+    game = encode_gim_gsp(s, mech)
+    assert size_stats(game)["total_table_entries"] > 0
 
 
 def test_payoff_kernel_on_a_box_equals_column_form():

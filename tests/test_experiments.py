@@ -337,6 +337,14 @@ def test_cli_run_and_describe(tmp_path, capsys):
     assert "model: eos" in text
     assert "max welfare" in text
     assert "dominance-pruned bid ranges" in text
+    # a record whose sample stage failed has no setting: name its own failure
+    failed = tmp_path / "failed.json"
+    failed.write_text(json.dumps({"instance": 7, "distribution": "eos-uni", "n": 2,
+                                  "m": 2, "k": 3, "error": {"stage": "sample",
+                                                            "reason": "bad draw"}}))
+    assert cli_main(["describe", str(failed)]) == 2
+    assert capsys.readouterr().err == (
+        "error: instance 7 failed at its sample stage: bad draw\n")
 
 
 def test_cli_error_paths(tmp_path, capsys):
