@@ -1,7 +1,8 @@
 """Action-graph games with contribution-independent function nodes.
 
 A game is a DAG of action nodes (one token per bidder on its chosen node)
-and function nodes.  Node values propagate in topological order:
+and function nodes, listed so that every function node comes after the
+function nodes it reads.  Node values propagate in list order:
 
 * action: 1 if chosen, else 0
 * sum: total value of its sources
@@ -105,66 +106,36 @@ class ActionGraphGame:
     agents: list[list[int]]
     nodes: list[Node]
     tables: dict[int, Mapping]
-    name: str = ""
     payoffs: Callable[[int, Sequence[np.ndarray]], np.ndarray] | None = None
 
     def __post_init__(self):
-        self._topo: list[int] | None = None
         self._plan: tuple[list, list] | None = None
 
     @property
     def num_agents(self) -> int:
         return len(self.agents)
 
-    def topo_order(self) -> list[int]:
-        if self._topo is None:
-            self._topo = _topological_order(self.nodes)
-        return self._topo
-
     def plan(self) -> tuple[list, list]:
-        """Topological function-node steps; (node, config getter, read) per action."""
+        """Function-node steps in list order; (node, config getter, read)
+        per action.  Action-node in-arcs only feed utility tables (tokens
+        are placed, not derived), so only a function node reading a function
+        node listed at or after it is rejected, and with it every cycle."""
         if self._plan is None:
             reads = [[(v, _getter(self.nodes[v].sources()),
                        self.tables.get(v, {}).__getitem__) for v in actions]
                      for actions in self.agents]
-            order = self.topo_order()
-            unknown = {self.nodes[v].kind for v in order} - {SUM, OR, ARGMAX}
-            if unknown:
-                raise ValueError(f"unknown node kind {unknown.pop()!r}")
-            steps = [(v, self.nodes[v].kind, _getter(self.nodes[v].sources()))
-                     for v in order]
+            steps = []
+            for v, node in enumerate(self.nodes):
+                if node.kind == ACTION:
+                    continue
+                if node.kind not in (SUM, OR, ARGMAX):
+                    raise ValueError(f"unknown node kind {node.kind!r}")
+                if any(src >= v and self.nodes[src].kind != ACTION for src in node.sources()):
+                    raise ValueError(f"function node {v} reads a function node "
+                                     "not listed before it")
+                steps.append((v, node.kind, _getter(node.sources())))
             self._plan = (steps, reads)
         return self._plan
-
-
-def _topological_order(nodes: list[Node]) -> list[int]:
-    """Evaluation order of the function nodes.
-
-    Action-node in-arcs only feed utility tables (tokens are placed, not
-    derived), so acyclicity is required of function-node dependencies only.
-    """
-    is_fn = [n.kind != ACTION for n in nodes]
-    pending = [sum(1 for s in n.sources() if is_fn[s]) if is_fn[v] else 0
-               for v, n in enumerate(nodes)]
-    dependents: list[list[int]] = [[] for _ in nodes]
-    for v, node in enumerate(nodes):
-        if not is_fn[v]:
-            continue
-        for src in node.sources():
-            if is_fn[src]:
-                dependents[src].append(v)
-    order = [v for v in range(len(nodes)) if is_fn[v] and pending[v] == 0]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for dep in dependents[v]:
-            pending[dep] -= 1
-            if pending[dep] == 0:
-                order.append(dep)
-    if len(order) != sum(is_fn):
-        raise ValueError("function-node dependencies contain a cycle")
-    return order
 
 
 def _getter(srcs: list[int]):

@@ -1,17 +1,20 @@
 """Compile auction settings into action-graph games.
 
-Per bidder and bid amount there is one action node.  Counting function
-nodes keyed by *effective bid* (bid times bidder weight) give each action
-node a local view of how many rivals tie with it or beat it; weighted
-argmax nodes recover the next lower effective bid for second-price
-payments.  Distinct (bidder, bid) pairs with the same effective bid share
-one counting node, so tie counting works across equal-weight bidders and
-argmax arc weights stay pairwise distinct.
+Every encoder builds the same frame (:class:`_Assembly`).  Per bidder and
+bid amount there is one action node.  Per *effective bid* (bid times
+bidder weight) one sum node counts every bid at it, and under second price
+a weighted argmax node over the lower ones recovers the next lower
+effective bid for the payment.  Distinct (bidder, bid) pairs with the same
+effective bid share one counting node, so argmax arc weights stay pairwise
+distinct.  Each positive bid's table is a view of its bidder's stack.
 
-The externality encoder instead gives each action node one base-3 rank
-digit per rival (0 below, 1 tied, 2 above), read by a sum node shared by
-every slot that splits that rival's bids the same way, so its tables span
-only the reachable digit codes.
+What each encoder adds is how a bid sees its rivals, and the stack layout
+that goes with it.  The no-externality encoder counts the rivals that tie
+with a bid and those that beat it.  The externality encoder gives each
+action node one base-3 rank digit per rival (0 below, 1 tied, 2 above),
+read by a sum node shared by every slot that splits that rival's bids the
+same way, so its tables span only the reachable digit codes.  Each encoder
+hands the payoff kernel the flat steps of its own layout.
 
 Bids of zero are non-participation: their action nodes carry constant-zero
 tables and contribute no tokens anywhere else.
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agg import ACTION, ARGMAX, OR, SUM, ActionGraphGame, ConfigTable, Node
+from .agg import ACTION, ARGMAX, SUM, ActionGraphGame, ConfigTable, Node
 from .mechanisms import MechanismSpec, apply_weight_rule, rounded_price
 from .models import AuctionSetting, GimSetting, Setting
 
@@ -66,30 +69,26 @@ def effective_bid_index(weights: np.ndarray, k_max: int,
     return EffectiveBidIndex(values, index)
 
 
-def _pair_kernel(slots: np.ndarray, stacks: list[np.ndarray], gsp: bool, ties: str):
+def _pair_kernel(slots: np.ndarray, stacks: list[np.ndarray], gsp: bool,
+                 tie: list[list[int]], above: list[list[int]]):
     """Bidder i's payoff is its C-ordered stack (own bid, rival axes, price)
     at own-bid offset + sum over rivals j of ``P_ij[b_i, b_j]`` (+ under GSP
     max over j of ``R_ij[b_i, b_j]``, j's slot where below i's, else 0).
-    ``P_ij`` steps the tie axis (``"split"``: the second one if j > i) or
-    the above axis (second last) by one; under ``"digit"`` it steps the code
-    axis by j's rank digit, 3^p for a tie and twice that above, where p
-    counts the rivals ranked after j.  Each table is (k+1)^2, so on an
-    ``np.ix_`` box each term is 2-D; built on the first call, they cost a
-    game read only by its graph nothing.
+    ``P_ij`` adds the flat step ``tie[i][j]`` where j ties i and
+    ``above[i][j]`` where j beats it; the encoder reads both from its own
+    stack layout.  Each table is (k+1)^2, so on an ``np.ix_`` box each term
+    is 2-D; built on the first call, they cost a game read only by its graph
+    nothing.
     """
     @functools.cache
     def tables():  # all at once, over (i, j, b_i, b_j); the diagonal goes unused
         n = len(stacks)
-        axis = np.array([s.strides for s in stacks]) // stacks[0].itemsize
-        later = np.arange(n) > np.arange(n)[:, None]
-        unit = 3 ** (n - 2 - np.arange(n) + later).clip(0) if ties == "digit" else 1
-        tie = np.where((ties == "split") & later, axis[:, 2:3], axis[:, 1:2]) * unit
-        above = axis[:, -2:-1] * unit * (2 if ties == "digit" else 1)
+        bid_step = np.array([s.strides[0] // s.itemsize for s in stacks])
         mine, theirs = slots[:, None, :, None], slots[None, :, None, :]
-        step = (tie[..., None, None] * (theirs == mine)
-                + above[..., None, None] * (theirs > mine))
+        step = (np.array(tie)[..., None, None] * (theirs == mine)
+                + np.array(above)[..., None, None] * (theirs > mine))
         # last rival first: on a box the full-size adds then run longer rows
-        return (np.arange(slots.shape[1]) * axis[:, :1], step,
+        return (np.arange(slots.shape[1]) * bid_step[:, None], step,
                 np.where(theirs < mine, theirs, 0), [stack.ravel() for stack in stacks],
                 [[j for j in reversed(range(n)) if j != i] for i in range(n)])
 
@@ -108,10 +107,78 @@ def _pair_kernel(slots: np.ndarray, stacks: list[np.ndarray], gsp: bool, ties: s
     return kernel
 
 
-def _prices(values: list[float], top: int, weight: float, rounding: str) -> np.ndarray:
-    """A bidder's rounded price per argmax index: every slot below its top
-    bid's slot ``top``; ``values`` is ``EffectiveBidIndex.values`` as a list."""
-    return np.array([rounded_price(v, weight, rounding) for v in values[:top]], dtype=float)
+class _Assembly:
+    """The frame of every encoded game.
+
+    On construction: the action nodes, numbered bidder-major, and one SUM
+    ``eq@t`` node per effective-bid slot t >= 1 over every bid at t.  An
+    encoder then adds its rival nodes (:meth:`add`) and, where it wants them
+    listed, the price nodes (:meth:`add_prices`); :meth:`game` wires every
+    positive bid to its nodes and table view and attaches the payoff kernel.
+    """
+
+    def __init__(self, setting: Setting, mech: MechanismSpec, cap: int):
+        n, k_max = setting.n, mech.k_max
+        self.mech = mech
+        self.gsp = mech.family == "gsp"
+        self.weights = apply_weight_rule(setting, mech)
+        self.ebi = effective_bid_index(self.weights, k_max, cap)
+        self.values = self.ebi.values.tolist()
+        self.nodes = [Node(ACTION, owner=i, label=f"bid({i},{k})")
+                      for i in range(n) for k in range(k_max + 1)]
+        self.agents = [list(range(i * (k_max + 1), (i + 1) * (k_max + 1))) for i in range(n)]
+        # the (bidder, bid) pairs of each slot, slots in first-seen order
+        self.bids_at: dict[int, list[tuple[int, int]]] = {}
+        for i in range(n):
+            for k in range(1, k_max + 1):
+                self.bids_at.setdefault(int(self.ebi.index[i, k]), []).append((i, k))
+        self.eq = [None] + [self.add(f"eq@{self.values[t]:g}",
+                                   [(self.agents[i][k], None) for i, k in self.bids_at[t]])
+                          for t in range(1, len(self.values))]
+        self.price: list[int | None] = []
+
+    def add(self, label: str, arcs: list, kind: str = SUM) -> int:
+        self.nodes.append(Node(kind, arcs, None, label))
+        return len(self.nodes) - 1
+
+    def add_prices(self) -> None:
+        """Under GSP, slot t's argmax node reads every lower slot; each node
+        owns its slice of the arcs."""
+        if self.gsp:
+            arcs = [(self.eq[u], self.values[u]) for u in range(1, len(self.values))]
+            self.price = [None] + [self.add(f"price@{self.values[t]:g}", arcs[:t - 1], ARGMAX)
+                                 for t in range(1, len(self.values))]
+
+    def prices(self, i: int) -> np.ndarray:
+        """Bidder i's rounded price per argmax index: every slot below its
+        top bid's slot."""
+        w = float(self.weights[i])
+        return np.array([rounded_price(v, w, self.mech.rounding)
+                         for v in self.values[:int(self.ebi.index[i, -1])]], dtype=float)
+
+    def game(self, stacks: list[np.ndarray], rivals, tie: list[list[int]],
+             above: list[list[int]], lo: int = 0) -> ActionGraphGame:
+        """Bid k of bidder i, at slot t, reads ``rivals(i, t)`` (a fresh arc
+        list), then its price node under GSP; its table is the view
+        ``stacks[i][k, ..., :t]`` (``[..., 0]`` under first price), whose
+        first config axis starts at ``lo``.  Bid 0 is a constant zero."""
+        tables: dict[int, object] = {}
+        for i, stack in enumerate(stacks):
+            actions = self.agents[i]
+            tables[actions[0]] = {(): 0.0}
+            config_axes = stack.ndim - (1 if self.gsp else 2)
+            corner = ((lo,) + (0,) * config_axes)[:config_axes]
+            for k, t in enumerate(self.ebi.index[i, 1:].tolist(), start=1):
+                arcs = rivals(i, t)
+                if self.gsp:
+                    arcs.append((self.price[t], None))
+                    block = stack[k, ..., :t]
+                else:
+                    block = stack[k, ..., 0]
+                self.nodes[actions[k]].in_arcs = arcs
+                tables[actions[k]] = ConfigTable(block.shape, corner, block)
+        return ActionGraphGame(self.agents, self.nodes, tables, payoffs=_pair_kernel(
+            self.ebi.index, stacks, self.gsp, tie, above))
 
 
 def _extended_rows(setting: AuctionSetting) -> tuple[np.ndarray, np.ndarray]:
@@ -126,69 +193,42 @@ def _extended_rows(setting: AuctionSetting) -> tuple[np.ndarray, np.ndarray]:
     return clicks, values
 
 
-def _action_nodes(n: int, k_max: int) -> tuple[list[Node], list[list[int]]]:
-    """One action node per (bidder, bid 0..k_max), numbered bidder-major;
-    the nodes and each bidder's node ids in bid order."""
-    nodes = [Node(ACTION, owner=i, label=f"bid({i},{k})")
-             for i in range(n) for k in range(k_max + 1)]
-    agents = [list(range(i * (k_max + 1), (i + 1) * (k_max + 1))) for i in range(n)]
-    return nodes, agents
-
-
 def _encode_no_ext(setting: AuctionSetting, mech: MechanismSpec,
                    cap: int) -> ActionGraphGame:
     n, k_max = setting.n, mech.k_max
-    w = apply_weight_rule(setting, mech)
-    ebi = effective_bid_index(w, k_max, cap)
-    gsp = mech.family == "gsp"
+    asm = _Assembly(setting, mech, cap)
+    gsp = asm.gsp
     lex = mech.tie_rule == "lexicographic"
+    values, eq = asm.values, asm.eq
 
-    nodes, agents = _action_nodes(n, k_max)
-
-    by_value: dict[int, list[tuple[int, int]]] = {}
-    for i in range(n):
-        for k in range(1, k_max + 1):
-            by_value.setdefault(int(ebi.index[i, k]), []).append((i, k))
-
-    values = ebi.values.tolist()
     T = len(values)
-    eq, gt, pm = {}, {}, {}
-    for t in range(1, T):
-        nodes.append(Node(SUM, in_arcs=[(agents[i][k], None) for i, k in by_value[t]],
-                          label=f"eq@{values[t]:g}"))
-        eq[t] = len(nodes) - 1
+    gt = {}
     for t in range(T - 1, 0, -1):
         arcs = [(eq[t + 1], None), (gt[t + 1], None)] if t + 1 < T else []
-        nodes.append(Node(SUM, in_arcs=arcs, label=f"above@{values[t]:g}"))
-        gt[t] = len(nodes) - 1
-    if gsp:
-        # slot t's price node reads every lower slot; each owns its slice
-        price_arcs = [(eq[u], values[u]) for u in range(1, T)]
-        for t in range(1, T):
-            nodes.append(Node(ARGMAX, in_arcs=price_arcs[:t - 1], label=f"price@{values[t]:g}"))
-            pm[t] = len(nodes) - 1
+        gt[t] = asm.add(f"above@{values[t]:g}", arcs)
+    asm.add_prices()
 
     eq_side = {}
     if lex:
-        for t, pairs in by_value.items():
+        for t, pairs in asm.bids_at.items():
             for i in sorted({i for i, _ in pairs}):
-                lo_arcs = [(agents[j][k], None) for j, k in pairs if j < i]
-                hi_arcs = [(agents[j][k], None) for j, k in pairs if j > i]
-                nodes.append(Node(SUM, in_arcs=lo_arcs, label=f"eq_lo@{t}/{i}"))
-                eq_side[(t, i, "lo")] = len(nodes) - 1
-                nodes.append(Node(SUM, in_arcs=hi_arcs, label=f"eq_hi@{t}/{i}"))
-                eq_side[(t, i, "hi")] = len(nodes) - 1
+                lo_arcs = [(asm.agents[j][k], None) for j, k in pairs if j < i]
+                hi_arcs = [(asm.agents[j][k], None) for j, k in pairs if j > i]
+                eq_side[t, i] = [(asm.add(f"eq_lo@{t}/{i}", lo_arcs), None),
+                                 (asm.add(f"eq_hi@{t}/{i}", hi_arcs), None)]
+
+    def rivals(i: int, t: int) -> list:
+        return (eq_side[t, i] if lex else [(eq[t], None)]) + [(gt[t], None)]
 
     # per bidder one array over (bid, config axes..., price index): the
     # table of bid k is a view of row k, row 0 (no bid) stays zero, and the
     # price axis spans every slot below the bidder's top bid
     clicks_x, values_x = _extended_rows(setting)
     ks = np.arange(1, k_max + 1, dtype=float)[:, None, None]
-    tables: dict[int, object] = {}
     stacks = []
     for i in range(n):
-        width = int(ebi.index[i, k_max]) if gsp else 1
-        prices = _prices(values, width, float(w[i]), mech.rounding) if gsp else None
+        prices = asm.prices(i) if gsp else None
+        width = len(prices) if gsp else 1
         if not lex:
             # axes (rival ties, rivals above)
             ell = np.arange(1, n + 1)[:, None]
@@ -221,27 +261,13 @@ def _encode_no_ext(setting: AuctionSetting, mech: MechanismSpec,
                 stack[1:, :, 0] = c_here[:, :, None] * (v_here[:, :, None] - prices)
         stacks.append(stack)
 
-        tables[agents[i][0]] = {(): 0.0}
-        for k in range(1, k_max + 1):
-            node_id = agents[i][k]
-            t = int(ebi.index[i, k])
-            node = nodes[node_id]
-            if lex:
-                node.in_arcs = [(eq_side[(t, i, "lo")], None),
-                                (eq_side[(t, i, "hi")], None), (gt[t], None)]
-            else:
-                node.in_arcs = [(eq[t], None), (gt[t], None)]
-            if gsp:
-                node.in_arcs.append((pm[t], None))
-                block = stack[k, ..., :t]
-            else:
-                block = stack[k, ..., 0]
-            # uniform ties count the bidder itself on the tie axis
-            lo_corner = (0 if lex else 1,) + (0,) * (block.ndim - 1)
-            tables[node_id] = ConfigTable(block.shape, lo_corner, block)
-
-    return ActionGraphGame(agents, nodes, tables, payoffs=_pair_kernel(
-        ebi.index, stacks, gsp, "split" if lex else "count"))
+    # a tie steps axis 1 (under lexicographic ties, axis 2 for a rival of
+    # larger id); a rival above steps the axis before the price axis
+    tie = [[s.strides[1 + (lex and j > i)] // s.itemsize for j in range(n)]
+           for i, s in enumerate(stacks)]
+    above = [[s.strides[-2] // s.itemsize] * n for s in stacks]
+    # uniform ties count the bidder itself on the tie axis
+    return asm.game(stacks, rivals, tie, above, lo=0 if lex else 1)
 
 
 def encode_gfp(setting: AuctionSetting, mech: MechanismSpec,
@@ -269,9 +295,9 @@ def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec,
     Against bidder i's slot t, rival j is one base-3 digit: 0 below, 1 tied,
     2 above.  A SUM node reads it directly, counting j's bids at a slot >= t
     once and those above t twice; every slot that splits j's bids the same
-    way shares that node, across bidders too.  Each bid's table spans the
-    digits of every rival, rank 0 most significant (then the price index
-    under GSP), so every cell is reachable.
+    way shares that node, across bidders too.  Each bidder's stack has one
+    axis per rival digit, rank 0 first, between the bid axis and the price
+    index, so every cell of a bid's table is reachable.
 
     Utility tables average over the tied-rival lottery: by default each tied
     rival ranks above independently with probability one half; the
@@ -279,93 +305,49 @@ def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec,
     tied block instead.  The bidder pays the argmax price only when every
     tied rival ranks above it (it sits at the bottom of its block).
 
-    The tables are evaluated per bidder (see :func:`_gim_utilities`) into
-    one array over (bid, digit code, price index); each bid's table is a
-    view of its row, and the game's payoff kernel reads the array directly
-    (see :func:`_pair_kernel`).
+    The stacks are evaluated per bidder (see :func:`_gim_utilities`).
     """
     n, k_max = setting.n, mech.k_max
-    w = apply_weight_rule(setting, mech)
-    ebi = effective_bid_index(w, k_max, cap)
-    gsp = mech.family == "gsp"
-    values = ebi.values.tolist()
-    T = len(values)
+    asm = _Assembly(setting, mech, cap)
+    T = len(asm.values)
 
     est = n * k_max * 3 ** (n - 1) * max(T - 1, 1)
     if est > entry_cap:
         raise EncodingSizeError(
             f"estimated {est} table entries exceed the cap of {entry_cap}")
-
-    nodes, agents = _action_nodes(n, k_max)
-
-    # a bidder's slots rise with its bid (weights are positive), so the bids
-    # of rival j tied with slot t, or above it, are contiguous runs of its
-    # positive bids
-    bid_arcs = [[(agents[j][kk], None) for kk in range(1, k_max + 1)] for j in range(n)]
-    bid_slots = [ebi.index[j, 1:].tolist() for j in range(n)]
-    by_slot: dict[int, list[tuple[int, None]]] = {}
-    owners: dict[int, list[int]] = {}
-    for j in range(n):
-        for arc, t in zip(bid_arcs[j], bid_slots[j]):
-            by_slot.setdefault(t, []).append(arc)
-            owners.setdefault(t, []).append(j)
-    labels = [f"{v:g}" for v in values]
-
-    present, pm = {}, {}
-    for t in range(1, T):
-        nodes.append(Node(OR, in_arcs=by_slot[t], label=f"present@{labels[t]}"))
-        present[t] = len(nodes) - 1
-    if gsp:
-        price_arcs = [(present[u], values[u]) for u in range(1, T)]
-        for t in range(1, T):
-            nodes.append(Node(ARGMAX, in_arcs=price_arcs[:t - 1],
-                              label=f"price@{labels[t]}"))
-            pm[t] = len(nodes) - 1
+    asm.add_prices()
 
     # rival j's rank digit against slot t (0 below, 1 tied, 2 above) is a
-    # SUM over j's bids at a slot >= t plus those above t: its bids lo+1..hi
-    # tie t and those above hi rank above, so every slot with the same (lo,
-    # hi) run of j shares one node; j needs none against a slot only it bids
+    # SUM over j's bids at a slot >= t plus those above t.  A bidder's slots
+    # rise with its bid (weights are positive), so its bids lo+1..hi tie t
+    # and those above hi rank above: every slot with the same (lo, hi) run
+    # of j shares one node; j needs none against a slot only it bids
     rank: list[list[tuple[int, None] | None]] = []
     for j in range(n):
+        bid_arcs = [(node, None) for node in asm.agents[j][1:]]
+        bid_slots = asm.ebi.index[j, 1:].tolist()
         shared: dict[tuple[int, int], tuple[int, None]] = {}
         row = [None] * T
-        for t, who in owners.items():
-            if who == [j]:
+        for t, pairs in asm.bids_at.items():
+            if pairs[0][0] == j and len(pairs) == 1:  # a bidder bids once per slot
                 continue
-            lo = bisect.bisect_left(bid_slots[j], t)
-            hi = bisect.bisect_right(bid_slots[j], t, lo)
-            arc = shared.get((lo, hi))
-            if arc is None:
-                nodes.append(Node(SUM, in_arcs=bid_arcs[j][lo:] + bid_arcs[j][hi:],
-                                  label=f"rank<-{j}@{lo}:{hi}"))
-                arc = shared[lo, hi] = (len(nodes) - 1, None)
-            row[t] = arc
+            lo = bisect.bisect_left(bid_slots, t)
+            hi = bisect.bisect_right(bid_slots, t, lo)
+            if (lo, hi) not in shared:
+                shared[lo, hi] = (asm.add(f"rank<-{j}@{lo}:{hi}",
+                                          bid_arcs[lo:] + bid_arcs[hi:]), None)
+            row[t] = shared[lo, hi]
         rank.append(row)
 
-    tables: dict[int, object] = {}
-    utils = []
-    dims = (3,) * (n - 1)
-    for i in range(n):
-        prices = (_prices(values, int(ebi.index[i, -1]), float(w[i]), mech.rounding)
-                  if gsp else None)
-        util = _gim_utilities(setting, i, mech, prices)
-        tables[agents[i][0]] = {(): 0.0}
-        for k in range(1, k_max + 1):
-            node_id = agents[i][k]
-            t = bid_slots[i][k - 1]
-            arcs = [rank[j][t] for j in range(n) if j != i]
-            if gsp:
-                arcs.append((pm[t], None))
-                block = util[k, :, :t].reshape(dims + (t,))
-            else:
-                block = util[k, :, 0].reshape(dims)
-            nodes[node_id].in_arcs = arcs
-            tables[node_id] = ConfigTable(block.shape, (0,) * block.ndim, block)
-        utils.append(util)
-
-    return ActionGraphGame(agents, nodes, tables,
-                           payoffs=_pair_kernel(ebi.index, utils, gsp, "digit"))
+    shape = (k_max + 1,) + (3,) * (n - 1) + (-1,)
+    stacks = [_gim_utilities(setting, i, mech, asm.prices(i) if asm.gsp else None).reshape(shape)
+              for i in range(n)]
+    # rival j of bidder i is digit rank j - (j > i), on axis 1 + that rank;
+    # a tie is digit 1 there and ranking above is digit 2
+    tie = [[s.strides[1 + j - (j > i)] // s.itemsize for j in range(n)]
+           for i, s in enumerate(stacks)]
+    return asm.game(stacks, lambda i, t: [rank[j][t] for j in range(n) if j != i],
+                    tie, [[2 * step for step in row] for row in tie])
 
 
 def _digit_cells(r_count: int) -> list[tuple[int, int]]:

@@ -286,7 +286,6 @@ def run_instance(cfg: ExperimentConfig, dist_name: str, dist_index: int,
             mech = mc.spec(k)
             allowed = prune_dominated(setting, mech)
             game = encode(setting, mech)
-            game.name = f"{dist_name}/{instance}/{mc.label}"
             es = enumerate_psne(game, allowed, budget=cfg.budget)
             cell["solved"] = es.solved
             cell["num_equilibria"] = len(es)

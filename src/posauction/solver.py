@@ -28,20 +28,18 @@ DEFAULT_BUDGET = 50_000_000
 _CHUNK = 1 << 19
 
 
-def prune_dominated(setting: Setting, mech: MechanismSpec, k_max: int | None = None
-                    ) -> list[list[int]]:
+def prune_dominated(setting: Setting, mech: MechanismSpec) -> list[list[int]]:
     """Per-bidder allowed bids: 0 up to the ceiling of the bidder's largest
     per-click value.  Bidding above that ceiling is weakly dominated; nothing
     else is removed, so the equilibrium set of the pruned game is reported
     in full.
     """
-    k_max = mech.k_max if k_max is None else k_max
     values = np.asarray(setting.values)
     if isinstance(setting, AuctionSetting):
         vbar = values.max(axis=1)
     else:
         vbar = values
-    return [list(range(0, min(k_max, math.ceil(v)) + 1)) for v in vbar]
+    return [list(range(0, min(mech.k_max, math.ceil(v)) + 1)) for v in vbar]
 
 
 @dataclass
@@ -53,7 +51,6 @@ class EquilibriumSet:
     downstream statistics substitute metric bounds.
     """
 
-    game_id: str
     profiles: list[tuple[int, ...]]
     solved: bool
     scanned: int = 0
@@ -88,8 +85,7 @@ def enumerate_psne(game: ActionGraphGame, allowed: list[list[int]] | None = None
                              f"integers in 0..{top}, at least one, got {list(bids)}")
     total = math.prod(len(a) for a in allowed)
     stop = min(total, budget)
-    return EquilibriumSet(game.name, _scan(game, allowed, stop), total <= budget,
-                          scanned=stop)
+    return EquilibriumSet(_scan(game, allowed, stop), total <= budget, scanned=stop)
 
 
 def _scan(game: ActionGraphGame, allowed: list[list[int]],

@@ -151,12 +151,13 @@ def gim_reference_tables(setting: GimSetting, mech: MechanismSpec):
 
 
 def node_values_reference(game: ActionGraphGame, profile, order=None) -> np.ndarray:
-    """Propagate token counts through the graph for one pure profile."""
+    """Propagate token counts through the graph for one pure profile, node
+    by node in ``order`` (default: list order)."""
     nodes = game.nodes
     values = np.zeros(len(nodes), dtype=np.int64)
     for i, choice in enumerate(profile):
         values[game.agents[i][choice]] = 1
-    for v in (order if order is not None else game.topo_order()):
+    for v in (order if order is not None else range(len(nodes))):
         node = nodes[v]
         if node.kind == ACTION:
             continue

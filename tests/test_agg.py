@@ -144,19 +144,32 @@ def test_topological_order_variants_agree():
         sample_setting(DistributionSpec.from_name("v-uni"), 3, 2,
                        rng=np.random.default_rng(4)), 4)
     game = encode(s, MechanismSpec(family="gsp", weight_rule="quality", k_max=4))
-    order = game.topo_order()
-    # any topological order gives the same node values; reverse the tail of
-    # an order where legal by re-sorting with a different stable key
-    alt = sorted(order, key=lambda v: (_depth(game, v), -v))
+    # list order is one valid order; another one, by depth with ties taken
+    # in reverse list order, gives the same node values
+    alt = sorted((v for v, node in enumerate(game.nodes) if node.kind != ACTION),
+                 key=lambda v: (_depth(game, v), -v))
+    assert alt != sorted(alt)
     pos = {v: i for i, v in enumerate(alt)}
     for v in alt:
         for src in game.nodes[v].sources():
             if game.nodes[src].kind != ACTION:
                 assert pos[src] < pos[v]
     profile = [2, 0, 4]
-    want = node_values_reference(game, profile, order=order)
+    want = node_values_reference(game, profile)
     assert np.array_equal(node_values_reference(game, profile, order=alt), want)
     assert np.array_equal(node_values(game, profile), want)
+
+
+@pytest.mark.parametrize("arcs", [
+    {1: [(2, None)], 2: [(0, None)]},  # reads a function node listed after it
+    {1: [(0, None), (2, None)], 2: [(1, None)]},  # two-node cycle
+    {1: [(1, None)], 2: []},  # reads itself
+])
+def test_plan_rejects_function_nodes_out_of_list_order(arcs):
+    nodes = [Node(ACTION, owner=0), Node(SUM, in_arcs=arcs[1]), Node(OR, in_arcs=arcs[2])]
+    game = ActionGraphGame([[0]], nodes, {0: {(): 0.0}})
+    with pytest.raises(ValueError, match="not listed before it"):
+        game.plan()
 
 
 def _depth(game, v, cache=None):

@@ -291,12 +291,56 @@ GIM_PAYOFF_DIGESTS = [
 def test_gim_payoffs_are_pinned(name, n, m, k, mech, digest):
     s = normalize_setting(sample_setting(DistributionSpec.from_name(name), n, m,
                                          rng=np.random.default_rng(11)), k)
-    game = encode_gim_gsp(s, MechanismSpec(k_max=k, **mech))
-    box = np.ix_(*[np.arange(k + 1)] * n)
+    assert _payoff_digest(encode_gim_gsp(s, MechanismSpec(k_max=k, **mech))) == digest
+
+
+def _payoff_digest(game):
+    box = np.ix_(*[np.arange(len(actions)) for actions in game.agents])
     h = hashlib.sha256()
-    for i in range(n):
+    for i in range(game.num_agents):
         h.update(game.payoffs(i, box).tobytes())
-    assert h.hexdigest() == digest
+    return h.hexdigest()
+
+
+# the same digest for no-externality games: (family, weight rule, tie rule,
+# rounding) covers gfp/ugsp/wgsp under both tie rules, two roundings each
+NO_EXT_PAYOFF_DIGESTS = [
+    ("eos-ln", 4, 3, 5, ("gfp", "unit", "uniform", "down"),
+     "72a80174ed17f1d97c96788e68cbfba9f2594eaf1471e026e72bfd7f4c598466"),
+    ("v-uni", 3, 3, 6, ("gfp", "unit", "uniform", "up"),
+     "6cc68f7aa0f5883f90a3af601674f6e0c73b779420016c12c872d53114c48926"),
+    ("bss", 4, 2, 5, ("gfp", "unit", "lexicographic", "nearest"),
+     "96ae8334f2a44cc65e682244cf1a3e8e9cbeb6075cb7d00e9bc1085486c62146"),
+    ("bhn-ln", 3, 3, 6, ("gfp", "unit", "lexicographic", "up_plus_one"),
+     "dc59af54549b3bc0b092e0835efd15b427c5431bc5614dc59c5e07d50fed65c1"),
+    ("v-ln", 4, 4, 5, ("gsp", "unit", "uniform", "down"),
+     "55271a859dc23d7c1f460aeeea52092b22bf172438f24ea0d2972ef6e85aa129"),
+    ("bhn-uni", 4, 3, 5, ("gsp", "unit", "uniform", "up_plus_one"),
+     "41d80f6593cd5c7ff64bf8f1d097b79b2e1ce2d91b71c136a3db81af235e31eb"),
+    ("eos-uni", 3, 3, 6, ("gsp", "unit", "lexicographic", "nearest"),
+     "4c4295a1ef7ce5061cb01d31aca13ffcf5d5d79fad059fee1c162fee97c2be3d"),
+    ("bss", 4, 4, 5, ("gsp", "unit", "lexicographic", "up"),
+     "8231685d03d76a0cd9b8d76336a27260fde0b41edbaa22164acd4f1e9f419361"),
+    ("v-uni", 4, 3, 5, ("gsp", "quality", "uniform", "nearest"),
+     "d1df3b9d3753d7ef7d6ed1b97aca11d69a56d7a1213476a29e0e936652ed3346"),
+    ("bhn-ln", 4, 4, 5, ("gsp", "quality", "uniform", "down"),
+     "a38ef48567047cefcdfde244b504513aec942eebb1d4b8c556dc1d8924400447"),
+    ("bhn-uni", 3, 3, 6, ("gsp", "quality", "lexicographic", "up"),
+     "f3863a4928a456a81d55fa51dc7ae031c141867a461dd22549ce60ff9f9e62b6"),
+    ("v-ln", 4, 2, 5, ("gsp", "quality", "lexicographic", "up_plus_one"),
+     "ddc92f0cb4c713c45817607d674ba3af3374fe4e8aad59949998d1dcca7d8e99"),
+]
+
+
+@pytest.mark.parametrize("name,n,m,k,mech,digest", NO_EXT_PAYOFF_DIGESTS,
+                         ids=["-".join((case[0],) + case[4]) for case in NO_EXT_PAYOFF_DIGESTS])
+def test_no_ext_payoffs_are_pinned(name, n, m, k, mech, digest):
+    s = normalize_setting(sample_setting(DistributionSpec.from_name(name), n, m,
+                                         rng=np.random.default_rng(13)), k)
+    family, weight_rule, tie_rule, rounding = mech
+    game = encode(s, MechanismSpec(family=family, weight_rule=weight_rule, tie_rule=tie_rule,
+                                   rounding=rounding, k_max=k))
+    assert _payoff_digest(game) == digest
 
 
 def test_gim_tables_fit_the_cap_at_scale_n_six_bidders():
