@@ -16,8 +16,8 @@ A bidder's payoff is its chosen node's table entry at the tuple of in-arc
 source values (in in-arc order).  Tables must be total over reachable
 configurations; a missing entry is an encoder bug, not a user error.
 
-Each game is compiled once into a cached evaluation plan, which relies on
-the game being immutable once built (nodes, arcs and tables alike).
+A game's graph is built at most once, and is immutable after (nodes, arcs
+and tables alike): each game is compiled once into a cached evaluation plan.
 """
 
 from __future__ import annotations
@@ -88,13 +88,30 @@ class ConfigTable(Mapping):
         return int(np.count_nonzero(~np.isnan(self.data)))
 
 
+class _Graph:
+    """A game's ``nodes`` or ``tables``, reached only while both are unset:
+    one call to the game's ``build`` sets them as plain attributes."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, game, owner=None):
+        if game is None:
+            return None  # the field's default
+        game.nodes, game.tables = game.build()
+        game.build = None
+        return getattr(game, self.name)
+
+
 @dataclass
 class ActionGraphGame:
-    """Immutable game: per-bidder action lists, nodes, and utility tables.
+    """A game: per-bidder action lists, nodes, and utility tables.
 
     ``agents[i]`` lists bidder i's action-node ids in action order (for
     encoded auctions, action index == bid amount).  ``tables`` maps each
     action-node id to its utility table (a dict or :class:`ConfigTable`).
+    An encoder gives ``build`` in place of both: it returns them, on the
+    first read of either, so a caller of ``payoffs`` alone never builds them.
 
     ``payoffs(i, bids)`` gives bidder i's payoffs for ``bids``, one integer
     action array per bidder, broadcast together: at every profile of an
@@ -104,12 +121,15 @@ class ActionGraphGame:
     """
 
     agents: list[list[int]]
-    nodes: list[Node]
-    tables: dict[int, Mapping]
+    nodes: list[Node] = _Graph()
+    tables: dict[int, Mapping] = _Graph()
     payoffs: Callable[[int, Sequence[np.ndarray]], np.ndarray] | None = None
+    build: Callable[[], tuple[list[Node], dict[int, Mapping]]] | None = None
 
     def __post_init__(self):
         self._plan: tuple[list, list] | None = None
+        if self.build is not None:
+            del self.nodes, self.tables  # unset: the first read builds them
 
     @property
     def num_agents(self) -> int:

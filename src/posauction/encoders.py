@@ -18,6 +18,10 @@ hands the payoff kernel the flat steps of its own layout.
 
 Bids of zero are non-participation: their action nodes carry constant-zero
 tables and contribute no tokens anywhere else.
+
+An encode computes only what the equilibrium scan reads, the stacks and the
+payoff kernel; the graph is built on the first read of the game's ``nodes``
+or ``tables``, with its tables as views of the same stacks.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agg import ACTION, ARGMAX, SUM, ActionGraphGame, ConfigTable, Node
-from .mechanisms import MechanismSpec, apply_weight_rule, rounded_price
+from .mechanisms import MechanismSpec, apply_weight_rule
 from .models import AuctionSetting, GimSetting, Setting
 
 DEFAULT_VALUE_CAP = 100_000
@@ -55,18 +59,13 @@ class EffectiveBidIndex:
 
 def effective_bid_index(weights: np.ndarray, k_max: int,
                         cap: int = DEFAULT_VALUE_CAP) -> EffectiveBidIndex:
-    n = len(weights)
-    distinct = sorted({float(k * weights[i]) for i in range(n) for k in range(1, k_max + 1)})
-    values = np.array([0.0] + distinct)
+    products = [[k * w for k in range(k_max + 1)] for w in np.asarray(weights, float).tolist()]
+    values = sorted(set().union(*products))  # numpy's sort kernels cost resident memory
     if len(values) > cap:
         raise EncodingSizeError(
             f"{len(values)} distinct effective bids exceed the cap of {cap}")
     slot = {v: t for t, v in enumerate(values)}
-    index = np.zeros((n, k_max + 1), dtype=np.int64)
-    for i in range(n):
-        for k in range(1, k_max + 1):
-            index[i, k] = slot[float(k * weights[i])]
-    return EffectiveBidIndex(values, index)
+    return EffectiveBidIndex(np.array(values), np.array([[slot[v] for v in r] for r in products]))
 
 
 def _pair_kernel(slots: np.ndarray, stacks: list[np.ndarray], gsp: bool,
@@ -108,14 +107,9 @@ def _pair_kernel(slots: np.ndarray, stacks: list[np.ndarray], gsp: bool,
 
 
 class _Assembly:
-    """The frame of every encoded game.
-
-    On construction: the action nodes, numbered bidder-major, and one SUM
-    ``eq@t`` node per effective-bid slot t >= 1 over every bid at t.  An
-    encoder then adds its rival nodes (:meth:`add`) and, where it wants them
-    listed, the price nodes (:meth:`add_prices`); :meth:`game` wires every
-    positive bid to its nodes and table view and attaches the payoff kernel.
-    """
+    """The frame of every encoded game: on construction, what the solve path
+    reads (the weights, the effective-bid index and the action ids, numbered
+    bidder-major); the game it makes runs :meth:`graph` on first read."""
 
     def __init__(self, setting: Setting, mech: MechanismSpec, cap: int):
         n, k_max = setting.n, mech.k_max
@@ -123,45 +117,39 @@ class _Assembly:
         self.gsp = mech.family == "gsp"
         self.weights = apply_weight_rule(setting, mech)
         self.ebi = effective_bid_index(self.weights, k_max, cap)
+        self.agents = [list(range(i * (k_max + 1), (i + 1) * (k_max + 1))) for i in range(n)]
+
+    def prices(self, i: int) -> np.ndarray:
+        """Bidder i's rounded price per argmax index (slot below its top bid)."""
+        return _rounded_prices(self.ebi.values[:self.ebi.index[i, -1]],
+                               float(self.weights[i]), self.mech.rounding)
+
+    def game(self, stacks: list[np.ndarray], rival_nodes, tie: list[list[int]],
+             above: list[list[int]], lo: int = 0) -> ActionGraphGame:
+        return ActionGraphGame(
+            self.agents, payoffs=_pair_kernel(self.ebi.index, stacks, self.gsp, tie, above),
+            build=functools.partial(self.graph, stacks, rival_nodes, lo))
+
+    def graph(self, stacks: list[np.ndarray], rival_nodes, lo: int):
+        """The action nodes and one SUM ``eq@t`` node per effective-bid slot
+        t >= 1 over every bid at t; ``rival_nodes(self)`` adds the encoder's
+        nodes (:meth:`add`, :meth:`add_prices`) and returns ``rivals``.  Bid
+        k of bidder i, at slot t, reads ``rivals(i, t)`` (a fresh arc list),
+        then its price node under GSP; its table is the view
+        ``stacks[i][k, ..., :t]`` (``[..., 0]`` under first price), whose
+        first config axis starts at ``lo``.  Bid 0 is a constant zero."""
         self.values = self.ebi.values.tolist()
         self.nodes = [Node(ACTION, owner=i, label=f"bid({i},{k})")
-                      for i in range(n) for k in range(k_max + 1)]
-        self.agents = [list(range(i * (k_max + 1), (i + 1) * (k_max + 1))) for i in range(n)]
+                      for i, actions in enumerate(self.agents) for k in range(len(actions))]
         # the (bidder, bid) pairs of each slot, slots in first-seen order
         self.bids_at: dict[int, list[tuple[int, int]]] = {}
-        for i in range(n):
-            for k in range(1, k_max + 1):
-                self.bids_at.setdefault(int(self.ebi.index[i, k]), []).append((i, k))
+        for i, row in enumerate(self.ebi.index[:, 1:].tolist()):
+            for k, t in enumerate(row, start=1):
+                self.bids_at.setdefault(t, []).append((i, k))
         self.eq = [None] + [self.add(f"eq@{self.values[t]:g}",
                                    [(self.agents[i][k], None) for i, k in self.bids_at[t]])
                           for t in range(1, len(self.values))]
-        self.price: list[int | None] = []
-
-    def add(self, label: str, arcs: list, kind: str = SUM) -> int:
-        self.nodes.append(Node(kind, arcs, None, label))
-        return len(self.nodes) - 1
-
-    def add_prices(self) -> None:
-        """Under GSP, slot t's argmax node reads every lower slot; each node
-        owns its slice of the arcs."""
-        if self.gsp:
-            arcs = [(self.eq[u], self.values[u]) for u in range(1, len(self.values))]
-            self.price = [None] + [self.add(f"price@{self.values[t]:g}", arcs[:t - 1], ARGMAX)
-                                 for t in range(1, len(self.values))]
-
-    def prices(self, i: int) -> np.ndarray:
-        """Bidder i's rounded price per argmax index: every slot below its
-        top bid's slot."""
-        w = float(self.weights[i])
-        return np.array([rounded_price(v, w, self.mech.rounding)
-                         for v in self.values[:int(self.ebi.index[i, -1])]], dtype=float)
-
-    def game(self, stacks: list[np.ndarray], rivals, tie: list[list[int]],
-             above: list[list[int]], lo: int = 0) -> ActionGraphGame:
-        """Bid k of bidder i, at slot t, reads ``rivals(i, t)`` (a fresh arc
-        list), then its price node under GSP; its table is the view
-        ``stacks[i][k, ..., :t]`` (``[..., 0]`` under first price), whose
-        first config axis starts at ``lo``.  Bid 0 is a constant zero."""
+        rivals = rival_nodes(self)
         tables: dict[int, object] = {}
         for i, stack in enumerate(stacks):
             actions = self.agents[i]
@@ -177,8 +165,35 @@ class _Assembly:
                     block = stack[k, ..., 0]
                 self.nodes[actions[k]].in_arcs = arcs
                 tables[actions[k]] = ConfigTable(block.shape, corner, block)
-        return ActionGraphGame(self.agents, self.nodes, tables, payoffs=_pair_kernel(
-            self.ebi.index, stacks, self.gsp, tie, above))
+        return self.nodes, tables
+
+    def add(self, label: str, arcs: list, kind: str = SUM) -> int:
+        self.nodes.append(Node(kind, arcs, None, label))
+        return len(self.nodes) - 1
+
+    def add_prices(self) -> None:
+        """Under GSP, slot t's argmax node reads every lower slot; each node
+        owns its slice of the arcs."""
+        if self.gsp:
+            arcs = [(self.eq[u], self.values[u]) for u in range(1, len(self.values))]
+            self.price = [None] + [self.add(f"price@{self.values[t]:g}", arcs[:t - 1], ARGMAX)
+                                 for t in range(1, len(self.values))]
+
+
+def _rounded_prices(next_eff: np.ndarray, weight: float, rule: str) -> np.ndarray:
+    """:func:`mechanisms.rounded_price` of every ``next_eff`` at one weight,
+    cell for cell: the same start, stepped while the same product test holds."""
+    guess = next_eff / weight
+    if rule in ("up", "up_plus_one"):
+        p, step, moving = np.maximum(np.floor(guess) - 1, 0), 1, lambda p: p * weight < next_eff
+    elif rule == "down":
+        p, step, moving = np.floor(guess) + 2, -1, lambda p: p * weight > next_eff
+    else:  # nearest, half up: largest p with (2p - 1) * w <= 2 * next_eff
+        p, step, moving = (np.floor(guess + 0.5) + 2, -1,
+                           lambda p: (2 * p - 1) * weight > 2 * next_eff)
+    while (cells := moving(p)).any():
+        p[cells] += step
+    return p + 1 if rule == "up_plus_one" else np.maximum(p, 0)
 
 
 def _extended_rows(setting: AuctionSetting) -> tuple[np.ndarray, np.ndarray]:
@@ -199,26 +214,27 @@ def _encode_no_ext(setting: AuctionSetting, mech: MechanismSpec,
     asm = _Assembly(setting, mech, cap)
     gsp = asm.gsp
     lex = mech.tie_rule == "lexicographic"
-    values, eq = asm.values, asm.eq
 
-    T = len(values)
-    gt = {}
-    for t in range(T - 1, 0, -1):
-        arcs = [(eq[t + 1], None), (gt[t + 1], None)] if t + 1 < T else []
-        gt[t] = asm.add(f"above@{values[t]:g}", arcs)
-    asm.add_prices()
+    def rival_nodes(asm: _Assembly):
+        # an above@t chain, the price nodes, and under lexicographic ties
+        # an eq_lo/eq_hi pair per (slot, bidder at it)
+        values, eq = asm.values, asm.eq
+        T = len(values)
+        gt = {}
+        for t in range(T - 1, 0, -1):
+            arcs = [(eq[t + 1], None), (gt[t + 1], None)] if t + 1 < T else []
+            gt[t] = asm.add(f"above@{values[t]:g}", arcs)
+        asm.add_prices()
 
-    eq_side = {}
-    if lex:
-        for t, pairs in asm.bids_at.items():
-            for i in sorted({i for i, _ in pairs}):
-                lo_arcs = [(asm.agents[j][k], None) for j, k in pairs if j < i]
-                hi_arcs = [(asm.agents[j][k], None) for j, k in pairs if j > i]
-                eq_side[t, i] = [(asm.add(f"eq_lo@{t}/{i}", lo_arcs), None),
-                                 (asm.add(f"eq_hi@{t}/{i}", hi_arcs), None)]
-
-    def rivals(i: int, t: int) -> list:
-        return (eq_side[t, i] if lex else [(eq[t], None)]) + [(gt[t], None)]
+        eq_side = {}
+        if lex:
+            for t, pairs in asm.bids_at.items():
+                for i in sorted({i for i, _ in pairs}):
+                    lo_arcs = [(asm.agents[j][k], None) for j, k in pairs if j < i]
+                    hi_arcs = [(asm.agents[j][k], None) for j, k in pairs if j > i]
+                    eq_side[t, i] = [(asm.add(f"eq_lo@{t}/{i}", lo_arcs), None),
+                                     (asm.add(f"eq_hi@{t}/{i}", hi_arcs), None)]
+        return lambda i, t: (eq_side[t, i] if lex else [(eq[t], None)]) + [(gt[t], None)]
 
     # per bidder one array over (bid, config axes..., price index): the
     # table of bid k is a view of row k, row 0 (no bid) stays zero, and the
@@ -240,9 +256,10 @@ def _encode_no_ext(setting: AuctionSetting, mech: MechanismSpec,
                 mid = (s1[g + ell - 1] - s1[g]) - ks * (s2[g + ell - 1] - s2[g])
                 c_last = clicks_x[i][(g + ell - 1).clip(max=2 * n - 1)]
                 v_last = values_x[i][(g + ell - 1).clip(max=2 * n - 1)]
-                stack[1:] = (mid[..., None]
-                             + (c_last[:, :, None] * (v_last[:, :, None] - prices))
-                             ) / ell[:, :, None]
+                # in place: the same operations, no full-size temporaries
+                np.add(mid[..., None], c_last[:, :, None] * (v_last[:, :, None] - prices),
+                       out=stack[1:])
+                stack[1:] /= ell[:, :, None]
             else:
                 stack[1:, :, :, 0] = ((s1[g + ell] - s1[g]) - ks * (s2[g + ell] - s2[g])) / ell
         else:
@@ -267,7 +284,7 @@ def _encode_no_ext(setting: AuctionSetting, mech: MechanismSpec,
            for i, s in enumerate(stacks)]
     above = [[s.strides[-2] // s.itemsize] * n for s in stacks]
     # uniform ties count the bidder itself on the tie axis
-    return asm.game(stacks, rivals, tie, above, lo=0 if lex else 1)
+    return asm.game(stacks, rival_nodes, tie, above, lo=0 if lex else 1)
 
 
 def encode_gfp(setting: AuctionSetting, mech: MechanismSpec,
@@ -309,35 +326,38 @@ def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec,
     """
     n, k_max = setting.n, mech.k_max
     asm = _Assembly(setting, mech, cap)
-    T = len(asm.values)
+    T = len(asm.ebi.values)
 
     est = n * k_max * 3 ** (n - 1) * max(T - 1, 1)
     if est > entry_cap:
         raise EncodingSizeError(
             f"estimated {est} table entries exceed the cap of {entry_cap}")
-    asm.add_prices()
 
-    # rival j's rank digit against slot t (0 below, 1 tied, 2 above) is a
-    # SUM over j's bids at a slot >= t plus those above t.  A bidder's slots
-    # rise with its bid (weights are positive), so its bids lo+1..hi tie t
-    # and those above hi rank above: every slot with the same (lo, hi) run
-    # of j shares one node; j needs none against a slot only it bids
-    rank: list[list[tuple[int, None] | None]] = []
-    for j in range(n):
-        bid_arcs = [(node, None) for node in asm.agents[j][1:]]
-        bid_slots = asm.ebi.index[j, 1:].tolist()
-        shared: dict[tuple[int, int], tuple[int, None]] = {}
-        row = [None] * T
-        for t, pairs in asm.bids_at.items():
-            if pairs[0][0] == j and len(pairs) == 1:  # a bidder bids once per slot
-                continue
-            lo = bisect.bisect_left(bid_slots, t)
-            hi = bisect.bisect_right(bid_slots, t, lo)
-            if (lo, hi) not in shared:
-                shared[lo, hi] = (asm.add(f"rank<-{j}@{lo}:{hi}",
-                                          bid_arcs[lo:] + bid_arcs[hi:]), None)
-            row[t] = shared[lo, hi]
-        rank.append(row)
+    def rival_nodes(asm: _Assembly):
+        # the price nodes, then rival j's rank digit against slot t (0 below,
+        # 1 tied, 2 above): a SUM over j's bids at a slot >= t plus those
+        # above t.  A bidder's slots rise with its bid (weights are
+        # positive), so its bids lo+1..hi tie t and those above hi rank
+        # above: every slot with the same (lo, hi) run of j shares one node;
+        # j needs none against a slot only it bids
+        asm.add_prices()
+        rank: list[list[tuple[int, None] | None]] = []
+        for j in range(n):
+            bid_arcs = [(node, None) for node in asm.agents[j][1:]]
+            bid_slots = asm.ebi.index[j, 1:].tolist()
+            shared: dict[tuple[int, int], tuple[int, None]] = {}
+            row = [None] * T
+            for t, pairs in asm.bids_at.items():
+                if pairs[0][0] == j and len(pairs) == 1:  # a bidder bids once per slot
+                    continue
+                lo = bisect.bisect_left(bid_slots, t)
+                hi = bisect.bisect_right(bid_slots, t, lo)
+                if (lo, hi) not in shared:
+                    shared[lo, hi] = (asm.add(f"rank<-{j}@{lo}:{hi}",
+                                              bid_arcs[lo:] + bid_arcs[hi:]), None)
+                row[t] = shared[lo, hi]
+            rank.append(row)
+        return lambda i, t: [rank[j][t] for j in range(n) if j != i]
 
     shape = (k_max + 1,) + (3,) * (n - 1) + (-1,)
     stacks = [_gim_utilities(setting, i, mech, asm.prices(i) if asm.gsp else None).reshape(shape)
@@ -346,8 +366,7 @@ def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec,
     # a tie is digit 1 there and ranking above is digit 2
     tie = [[s.strides[1 + j - (j > i)] // s.itemsize for j in range(n)]
            for i, s in enumerate(stacks)]
-    return asm.game(stacks, lambda i, t: [rank[j][t] for j in range(n) if j != i],
-                    tie, [[2 * step for step in row] for row in tie])
+    return asm.game(stacks, rival_nodes, tie, [[2 * step for step in row] for row in tie])
 
 
 def _digit_cells(r_count: int) -> list[tuple[int, int]]:
@@ -468,7 +487,7 @@ def _gim_utilities(setting: GimSetting, i: int, mech: MechanismSpec,
     if paid is None:
         util[1:, :, 0] = total + last * own[:, None]
     else:
-        util[1:] = total[..., None] + last[:, None] * paid
+        np.add(total[..., None], last[:, None] * paid, out=util[1:])
     return util
 
 

@@ -578,11 +578,12 @@ def describe_instance(path: str) -> str:
     """Human-readable report of a serialized setting or instance record."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or not isinstance(doc.get("setting", doc), dict):
+        raise ValueError(f"{path} is not an instance record or setting object")
     if "setting" not in doc and doc.get("error"):
         raise ValueError(f"instance {doc.get('instance')} failed at its "
                          f"{doc['error']['stage']} stage: {doc['error']['reason']}")
-    setting_doc = doc.get("setting", doc)
-    setting = setting_from_json_dict(setting_doc)
+    setting = setting_from_json_dict(doc.get("setting", doc))
     lines = [f"model: {setting.model_kind}  n={setting.n}  m={setting.m}"]
     if setting.normalized_to is not None:
         lines.append(f"values normalized to a top bid of {setting.normalized_to:g}")

@@ -4,15 +4,19 @@ import itertools
 import numpy as np
 import pytest
 
-from posauction.agg import ARGMAX, dump_graph, evaluate_profile, size_stats
-from posauction.encoders import (EncodingSizeError, effective_bid_index, encode,
-                                 encode_gfp, encode_gim_gsp, encode_gsp)
-from posauction.experiments import _instance_rng, preset_config
+from posauction import encoders
+from posauction.agg import ARGMAX, ConfigTable, dump_graph, evaluate_profile, size_stats
+from posauction.encoders import (EncodingSizeError, _rounded_prices, effective_bid_index,
+                                 encode, encode_gfp, encode_gim_gsp, encode_gsp)
+from posauction.experiments import (ExperimentConfig, MechanismConfig, _instance_rng,
+                                    preset_config, run_instance)
 from posauction.mechanisms import (FAMILIES, ROUNDING_RULES, TIE_LOTTERIES, TIE_RULES,
                                    WEIGHT_RULES, MechanismSpec, apply_weight_rule,
-                                   simulate_outcome)
+                                   bidder_weights, rounded_price, simulate_outcome)
+from posauction.solver import enumerate_psne
 from posauction.models import (DISTRIBUTION_NAMES, AuctionSetting, DistributionSpec,
-                               GimSetting, normalize_setting, sample_setting)
+                               GimSetting, normalize_setting, sample_setting,
+                               setting_from_json_dict)
 
 from oracles import gim_reference_tables
 
@@ -476,3 +480,98 @@ GFP_EOS_PAIR_K2 = """\
 ])
 def test_no_ext_graph_dump_is_pinned(setting, mech, expected):
     assert dump_graph(encode(setting, mech)) == expected
+
+
+def test_effective_bids_and_rounded_prices_equal_scalar_forms():
+    # the slots are the distinct products k*w, as a per-product loop finds
+    # them; every slot of every bidder rounds as the simulator's scalar
+    # rounding gives it: next_eff = 0 (slot 0), exact k*w / w at the
+    # bidder's own slots, and every rival's products, under each weight
+    # rule and rounding
+    checked = 0
+    for name in ("v-ln", "bhn-uni", "cascade-uni", "cascade-ln", "hybrid-ln", "gim-uni"):
+        for seed in range(8):
+            s = normalize_setting(sample_setting(DistributionSpec.from_name(name), 4, 3,
+                                                 rng=np.random.default_rng(seed + 70)), 8)
+            rules = [("unit", 1.0), ("quality", 1.0), ("squashed", 0.5), ("squashed", 2.0)]
+            if getattr(s, "continuation", None) is not None:
+                rules.append(("cascade", 1.0))
+            for rule, squash in rules:
+                weights = bidder_weights(s, rule, squash)
+                ebi = effective_bid_index(weights, 8)
+                distinct = sorted({k * w for w in weights.tolist() for k in range(9)})
+                assert ebi.values.tolist() == distinct
+                assert ebi.index.tolist() == [[distinct.index(k * w) for k in range(9)]
+                                              for w in weights.tolist()]
+                values = ebi.values
+                for w in weights.tolist():
+                    for rnd in ROUNDING_RULES:
+                        got = _rounded_prices(values, w, rnd)
+                        want = [rounded_price(v, w, rnd) for v in values.tolist()]
+                        assert got.tolist() == want
+                        checked += len(want)
+    # weights whose products are inexact, so k*w / w misses k by an ulp
+    for w in (0.1, 0.3, 0.7, 1 / 3, 0.29, 1.7):
+        values = np.array([k * w for k in range(60)] + [k * w + 1e-9 for k in range(60)])
+        for rnd in ROUNDING_RULES:
+            assert _rounded_prices(values, w, rnd).tolist() == [
+                rounded_price(v, w, rnd) for v in values.tolist()]
+            assert _rounded_prices(values[:60], w, rnd).tolist() == [
+                k + (rnd == "up_plus_one") for k in range(60)]
+    assert checked > 50_000
+
+
+@pytest.mark.parametrize("dist", ["v-uni", "cascade-uni"])
+def test_solve_path_never_builds_the_graph(dist, monkeypatch):
+    # the scan reads only the stacks behind the payoff kernel: with the
+    # graph builder refusing, every record is the one a readable graph gives
+    mechanisms = [MechanismConfig.named(name, tie_rule=tie, label=f"{name}-{tie}")
+                  for name in ("gfp", "ugsp", "wgsp") for tie in TIE_RULES]
+    cfg = ExperimentConfig(distributions=[dist], mechanisms=mechanisms, n=3, m=3, k=5,
+                           instances=3, seed=5)
+    want = [run_instance(cfg, dist, 0, instance, cfg.n, cfg.m, cfg.k) for instance in range(3)]
+    assert all(cell["solved"] and "error" not in cell
+               for record in want for cell in record["mechanisms"].values())
+
+    def refuse(*_args):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(encoders._Assembly, "graph", refuse)
+    assert [run_instance(cfg, dist, 0, instance, cfg.n, cfg.m, cfg.k)
+            for instance in range(3)] == want
+    game = encode(setting_from_json_dict(want[0]["setting"]), MechanismSpec(k_max=cfg.k))
+    with pytest.raises(AssertionError, match="the graph was built"):
+        game.tables
+
+
+def test_graph_does_not_depend_on_when_it_is_read(monkeypatch):
+    # the graph read before the scan and the graph read after it are the
+    # same, and every table is a view of the stack the kernel reads
+    stacks = []
+
+    def kernel(slots, bidder_stacks, *rest):
+        stacks.append(bidder_stacks)
+        return real(slots, bidder_stacks, *rest)
+
+    real = encoders._pair_kernel
+    monkeypatch.setattr(encoders, "_pair_kernel", kernel)
+    mechs = [MechanismSpec(family=fam, weight_rule=wr, tie_rule=tie, k_max=4)
+             for fam, wr in (("gfp", "unit"), ("gsp", "unit"), ("gsp", "quality"))
+             for tie in TIE_RULES]
+    for name in ("v-uni", "eos-ln", "cascade-uni", "gim-uni"):
+        s = normalize_setting(sample_setting(DistributionSpec.from_name(name), 3, 3,
+                                             rng=np.random.default_rng(9)), 4)
+        for mech in mechs:
+            views = []
+            for scan_first in (False, True):
+                game = encode(s, mech)
+                if scan_first:
+                    enumerate_psne(game)
+                views.append((dump_graph(game), size_stats(game),
+                              {v: (t.dims, t.lo, t.data.tobytes())
+                               for v, t in game.tables.items() if isinstance(t, ConfigTable)}))
+                enumerate_psne(game)
+                for i, actions in enumerate(game.agents):
+                    for v in actions[1:]:
+                        assert np.shares_memory(game.tables[v].data, stacks[-1][i])
+            assert views[0] == views[1]

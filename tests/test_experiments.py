@@ -347,6 +347,17 @@ def test_cli_run_and_describe(tmp_path, capsys):
         "error: instance 7 failed at its sample stage: bad draw\n")
 
 
+@pytest.mark.parametrize("doc", [[1, 2], "x", None, 4, {"setting": 5},
+                                 {"setting": [], "instance": 3}])
+def test_cli_describe_names_json_of_the_wrong_shape(tmp_path, capsys, doc):
+    # valid JSON that is neither an instance record nor a setting object
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["describe", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path} is not an instance record or setting object\n")
+
+
 def test_cli_error_paths(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
