@@ -6,7 +6,6 @@ function nodes it reads.  Node values propagate in list order:
 
 * action: 1 if chosen, else 0
 * sum: total value of its sources
-* or: 1 if any source is nonzero
 * argmax: index (1-based, into the node's weight-ascending arc list) of the
   largest-weight arc whose source is active; 0 when none is.  The weight of
   the selected arc is the real quantity the node represents (here: the next
@@ -30,7 +29,6 @@ import numpy as np
 
 ACTION = "action"
 SUM = "sum"
-OR = "or"
 ARGMAX = "argmax"
 
 
@@ -54,16 +52,16 @@ class Node:
 class ConfigTable(Mapping):
     """Dense utility table over a box of integer configurations.
 
-    ``dims`` gives the size of each config axis and ``lo`` its smallest
-    value.  Cells may be NaN to mark holes inside the box (configurations
-    that can never occur); reading one raises :class:`MissingTableEntry`.
+    ``lo`` gives the smallest value of each config axis and ``data.shape``
+    (``dims``) its size.  Cells may be NaN to mark holes inside the box
+    (configurations that can never occur); reading one raises
+    :class:`MissingTableEntry`.
     """
 
-    def __init__(self, dims: tuple[int, ...], lo: tuple[int, ...], data: np.ndarray):
-        assert data.shape == dims
-        self.dims = dims
+    def __init__(self, lo: tuple[int, ...], data: np.ndarray):
         self.lo = lo
         self.data = data
+        self.dims = data.shape
 
     def __getitem__(self, key: tuple) -> float:
         if len(key) != len(self.dims):
@@ -148,7 +146,7 @@ class ActionGraphGame:
             for v, node in enumerate(self.nodes):
                 if node.kind == ACTION:
                     continue
-                if node.kind not in (SUM, OR, ARGMAX):
+                if node.kind not in (SUM, ARGMAX):
                     raise ValueError(f"unknown node kind {node.kind!r}")
                 if any(src >= v and self.nodes[src].kind != ACTION for src in node.sources()):
                     raise ValueError(f"function node {v} reads a function node "
@@ -173,8 +171,6 @@ def _walk(game: ActionGraphGame, profile, steps) -> list[int]:
         src = get(values)
         if kind == SUM:
             values[v] = sum(src)
-        elif kind == OR:
-            values[v] = 1 if any(src) else 0
         else:  # argmax: the highest rank whose source is active
             rank = len(src)
             while rank and not src[rank - 1]:

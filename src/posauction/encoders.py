@@ -37,12 +37,12 @@ from .agg import ACTION, ARGMAX, SUM, ActionGraphGame, ConfigTable, Node
 from .mechanisms import MechanismSpec, apply_weight_rule
 from .models import AuctionSetting, GimSetting, Setting
 
-DEFAULT_VALUE_CAP = 100_000
-DEFAULT_ENTRY_CAP = 20_000_000
+VALUE_CAP = 100_000  # distinct effective bids per game
+ENTRY_CAP = 20_000_000  # estimated table entries per externality game
 
 
 class EncodingSizeError(RuntimeError):
-    """The encoded game would exceed a configured size cap."""
+    """The encoded game would exceed a size cap."""
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,12 @@ class EffectiveBidIndex:
     index: np.ndarray  # (n, k_max + 1) slots into values
 
 
-def effective_bid_index(weights: np.ndarray, k_max: int,
-                        cap: int = DEFAULT_VALUE_CAP) -> EffectiveBidIndex:
+def effective_bid_index(weights: np.ndarray, k_max: int) -> EffectiveBidIndex:
     products = [[k * w for k in range(k_max + 1)] for w in np.asarray(weights, float).tolist()]
     values = sorted(set().union(*products))  # numpy's sort kernels cost resident memory
-    if len(values) > cap:
+    if len(values) > VALUE_CAP:
         raise EncodingSizeError(
-            f"{len(values)} distinct effective bids exceed the cap of {cap}")
+            f"{len(values)} distinct effective bids exceed the cap of {VALUE_CAP}")
     slot = {v: t for t, v in enumerate(values)}
     return EffectiveBidIndex(np.array(values), np.array([[slot[v] for v in r] for r in products]))
 
@@ -111,12 +110,12 @@ class _Assembly:
     reads (the weights, the effective-bid index and the action ids, numbered
     bidder-major); the game it makes runs :meth:`graph` on first read."""
 
-    def __init__(self, setting: Setting, mech: MechanismSpec, cap: int):
+    def __init__(self, setting: Setting, mech: MechanismSpec):
         n, k_max = setting.n, mech.k_max
         self.mech = mech
         self.gsp = mech.family == "gsp"
         self.weights = apply_weight_rule(setting, mech)
-        self.ebi = effective_bid_index(self.weights, k_max, cap)
+        self.ebi = effective_bid_index(self.weights, k_max)
         self.agents = [list(range(i * (k_max + 1), (i + 1) * (k_max + 1))) for i in range(n)]
 
     def prices(self, i: int) -> np.ndarray:
@@ -164,7 +163,7 @@ class _Assembly:
                 else:
                     block = stack[k, ..., 0]
                 self.nodes[actions[k]].in_arcs = arcs
-                tables[actions[k]] = ConfigTable(block.shape, corner, block)
+                tables[actions[k]] = ConfigTable(corner, block)
         return self.nodes, tables
 
     def add(self, label: str, arcs: list, kind: str = SUM) -> int:
@@ -208,10 +207,9 @@ def _extended_rows(setting: AuctionSetting) -> tuple[np.ndarray, np.ndarray]:
     return clicks, values
 
 
-def _encode_no_ext(setting: AuctionSetting, mech: MechanismSpec,
-                   cap: int) -> ActionGraphGame:
+def _encode_no_ext(setting: AuctionSetting, mech: MechanismSpec) -> ActionGraphGame:
     n, k_max = setting.n, mech.k_max
-    asm = _Assembly(setting, mech, cap)
+    asm = _Assembly(setting, mech)
     gsp = asm.gsp
     lex = mech.tie_rule == "lexicographic"
 
@@ -254,8 +252,8 @@ def _encode_no_ext(setting: AuctionSetting, mech: MechanismSpec,
             stack = np.zeros((k_max + 1, n, n, width))
             if gsp:
                 mid = (s1[g + ell - 1] - s1[g]) - ks * (s2[g + ell - 1] - s2[g])
-                c_last = clicks_x[i][(g + ell - 1).clip(max=2 * n - 1)]
-                v_last = values_x[i][(g + ell - 1).clip(max=2 * n - 1)]
+                c_last = clicks_x[i][g + ell - 1]
+                v_last = values_x[i][g + ell - 1]
                 # in place: the same operations, no full-size temporaries
                 np.add(mid[..., None], c_last[:, :, None] * (v_last[:, :, None] - prices),
                        out=stack[1:])
@@ -268,9 +266,8 @@ def _encode_no_ext(setting: AuctionSetting, mech: MechanismSpec,
             # bidder (no tied rival with larger id) pays rho
             lo = np.arange(n)[:, None]
             g = np.arange(n)[None, :]
-            pos0 = (lo + g).clip(max=2 * n - 1)  # 0-based position index
-            c_here = clicks_x[i][pos0]
-            v_here = values_x[i][pos0]
+            c_here = clicks_x[i][lo + g]  # at 0-based position lo + g
+            v_here = values_x[i][lo + g]
             own = c_here * (v_here - ks)  # axes (bid, lo, g)
             stack = np.zeros((k_max + 1, n, n, n, width))
             stack[1:] = own[:, :, None, :, None]
@@ -287,26 +284,22 @@ def _encode_no_ext(setting: AuctionSetting, mech: MechanismSpec,
     return asm.game(stacks, rival_nodes, tie, above, lo=0 if lex else 1)
 
 
-def encode_gfp(setting: AuctionSetting, mech: MechanismSpec,
-               cap: int = DEFAULT_VALUE_CAP) -> ActionGraphGame:
+def encode_gfp(setting: AuctionSetting, mech: MechanismSpec) -> ActionGraphGame:
     """First-price encoding: winners pay their own bid."""
     if mech.family != "gfp":
         raise ValueError("encode_gfp requires a gfp mechanism")
-    return _encode_no_ext(setting, mech, cap)
+    return _encode_no_ext(setting, mech)
 
 
-def encode_gsp(setting: AuctionSetting, mech: MechanismSpec,
-               cap: int = DEFAULT_VALUE_CAP) -> ActionGraphGame:
+def encode_gsp(setting: AuctionSetting, mech: MechanismSpec) -> ActionGraphGame:
     """Second-price encoding: argmax price nodes recover the next lower
     effective bid, divided by the winner's weight and rounded."""
     if mech.family != "gsp":
         raise ValueError("encode_gsp requires a gsp mechanism")
-    return _encode_no_ext(setting, mech, cap)
+    return _encode_no_ext(setting, mech)
 
 
-def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec,
-                   entry_cap: int = DEFAULT_ENTRY_CAP,
-                   cap: int = DEFAULT_VALUE_CAP) -> ActionGraphGame:
+def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec) -> ActionGraphGame:
     """Externality-setting encoding with one rank-digit node per rival.
 
     Against bidder i's slot t, rival j is one base-3 digit: 0 below, 1 tied,
@@ -325,13 +318,13 @@ def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec,
     The stacks are evaluated per bidder (see :func:`_gim_utilities`).
     """
     n, k_max = setting.n, mech.k_max
-    asm = _Assembly(setting, mech, cap)
+    asm = _Assembly(setting, mech)
     T = len(asm.ebi.values)
 
     est = n * k_max * 3 ** (n - 1) * max(T - 1, 1)
-    if est > entry_cap:
+    if est > ENTRY_CAP:
         raise EncodingSizeError(
-            f"estimated {est} table entries exceed the cap of {entry_cap}")
+            f"estimated {est} table entries exceed the cap of {ENTRY_CAP}")
 
     def rival_nodes(asm: _Assembly):
         # the price nodes, then rival j's rank digit against slot t (0 below,
@@ -491,10 +484,10 @@ def _gim_utilities(setting: GimSetting, i: int, mech: MechanismSpec,
     return util
 
 
-def encode(setting: Setting, mech: MechanismSpec, **kwargs) -> ActionGraphGame:
+def encode(setting: Setting, mech: MechanismSpec) -> ActionGraphGame:
     """Dispatch on the setting shape and mechanism family."""
     if isinstance(setting, GimSetting):
-        return encode_gim_gsp(setting, mech, **kwargs)
+        return encode_gim_gsp(setting, mech)
     if mech.family == "gfp":
-        return encode_gfp(setting, mech, **kwargs)
-    return encode_gsp(setting, mech, **kwargs)
+        return encode_gfp(setting, mech)
+    return encode_gsp(setting, mech)

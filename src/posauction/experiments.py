@@ -34,8 +34,8 @@ from . import metrics as metrics_mod
 from .encoders import encode
 from .mechanisms import (MechanismSpec, max_clicks, max_welfare, outcome_groups,
                          simulate_outcome, vcg)
-from .models import (DISTRIBUTION_NAMES, DistributionSpec, GimSetting,
-                     normalize_setting, sample_setting, setting_from_json_dict)
+from .models import (DISTRIBUTION_NAMES, DistributionSpec, GimSetting, normalize_setting,
+                     sample_setting, setting_from_json_dict, validate_setting)
 from .solver import DEFAULT_BUDGET, enumerate_psne, prune_dominated, select
 from .stats import PairRelation, bonferroni, classify_pair
 
@@ -265,8 +265,7 @@ def run_instance(cfg: ExperimentConfig, dist_name: str, dist_index: int,
         record["error"] = {"stage": "sample", "reason": str(exc)}
         return record
 
-    envy_defined = not setting.has_externality
-    metric_names = list(BASE_METRICS) + (["envy"] if envy_defined else [])
+    metric_names = list(BASE_METRICS) + ([] if isinstance(setting, GimSetting) else ["envy"])
     record["metrics_defined"] = metric_names
 
     if cfg.include_vcg or cfg.include_dvcg:
@@ -583,7 +582,12 @@ def describe_instance(path: str) -> str:
     if "setting" not in doc and doc.get("error"):
         raise ValueError(f"instance {doc.get('instance')} failed at its "
                          f"{doc['error']['stage']} stage: {doc['error']['reason']}")
-    setting = setting_from_json_dict(doc.get("setting", doc))
+    try:
+        setting = setting_from_json_dict(doc.get("setting", doc))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if problems := validate_setting(setting):
+        raise ValueError(f"{path}: invalid setting: " + "; ".join(problems))
     lines = [f"model: {setting.model_kind}  n={setting.n}  m={setting.m}"]
     if setting.normalized_to is not None:
         lines.append(f"values normalized to a top bid of {setting.normalized_to:g}")

@@ -24,7 +24,6 @@ class MetricVector:
     revenue: float
     relevance: float
     envy: float | None
-    envy_defined: bool
 
     def get(self, name: str) -> float | None:
         return getattr(self, name)
@@ -60,7 +59,6 @@ def metric_vector(outcome: Outcome, setting: Setting,
         revenue=outcome.revenue / max_welfare_value,
         relevance=outcome.expected_clicks / max_clicks_value if max_clicks_value > 0 else 0.0,
         envy=envy,
-        envy_defined=envy is not None,
     )
 
 

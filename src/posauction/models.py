@@ -6,6 +6,9 @@ click-rate matrix, and :class:`GimSetting` for the externality models
 (cascade, hybrid, gim), where a bidder's click probability is scaled by a
 monotone set function of the bidders ranked above.
 
+A sampling distribution (:class:`DistributionSpec`) is a model and the law
+of its values and qualities, uniform or log-normal.
+
 Positions are 1-based in the math and 0-based in the arrays.  Matrices carry
 one column per position 1..n; click rates are zero for positions past the
 slot count m.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -38,6 +42,16 @@ DISTRIBUTION_NAMES = (
 
 REJECTION_BUDGET = 1000
 
+# The laws' parameters; values and qualities share theirs.  The log-normal
+# (location, scale) is a fixed guess, because the fitted parameters of the
+# original bid-log study are not public; normalization removes the overall
+# scale anyway.
+LN_LAW = (0.0, 1.0)
+UNIFORM_RANGE = (0.0, 1.0)
+CONTINUATION_RANGE = (0.0, 0.95)
+PAIRWISE_RANGE = (0.2, 1.0)
+DECAY_RANGE = (0.3, 0.9)
+
 
 class SamplingError(RuntimeError):
     """Raised when rejection sampling exhausts its retry budget."""
@@ -55,55 +69,26 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """Parameters for one sampling distribution.
-
-    ``value_law`` selects uniform or log-normal laws for values and
-    qualities; the structural parameters (position curves, continuation
-    probabilities, pairwise externality factors, peak-decay factors) stay
-    uniform under both laws.  Log-normal location/scale pairs are
-    configurable because the fitted parameters from the original bid-log
-    study are not public; normalization removes the overall scale anyway.
-    """
+    """One sampling distribution: a model and the law (uniform or log-normal)
+    of its values and qualities; the structural parameters (position curves,
+    continuation probabilities, pairwise externality factors, peak-decay
+    factors) stay uniform under both laws."""
 
     model_kind: str
     value_law: str = "uni"
-    ln_value: tuple[float, float] = (0.0, 1.0)
-    ln_quality: tuple[float, float] = (0.0, 1.0)
-    value_range: tuple[float, float] = (0.0, 1.0)
-    quality_range: tuple[float, float] = (0.0, 1.0)
-    continuation_range: tuple[float, float] = (0.0, 0.95)
-    pairwise_range: tuple[float, float] = (0.2, 1.0)
-    decay_range: tuple[float, float] = (0.3, 0.9)
-    seed: int | None = None
 
     def __post_init__(self):
         if self.model_kind not in ALL_MODELS:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
         if self.value_law not in VALUE_LAWS:
             raise ValueError(f"unknown value law {self.value_law!r}")
-        for name in ("ln_value", "ln_quality"):
-            loc, scale = getattr(self, name)
-            if not scale > 0:
-                raise ValueError(f"{name} scale must be strictly positive")
-        for name in ("value_range", "quality_range", "continuation_range",
-                     "pairwise_range", "decay_range"):
-            lo, hi = getattr(self, name)
-            if not (0 <= lo < hi):
-                raise ValueError(f"{name} must be a nonempty range with 0 <= lo < hi")
-        if self.continuation_range[1] >= 1.0:
-            raise ValueError("continuation probabilities must stay below 1")
 
     @classmethod
-    def from_name(cls, name: str, **overrides) -> "DistributionSpec":
-        if name == "bss":
-            return cls(model_kind="bss", value_law="uni", **overrides)
-        try:
-            kind, law = name.rsplit("-", 1)
-        except ValueError:
-            raise ValueError(f"unknown distribution {name!r}") from None
+    def from_name(cls, name: str) -> "DistributionSpec":
         if name not in DISTRIBUTION_NAMES:
             raise ValueError(f"unknown distribution {name!r}")
-        return cls(model_kind=kind, value_law=law, **overrides)
+        kind, _, law = name.partition("-")
+        return cls(model_kind=kind, value_law=law or "uni")
 
 
 @dataclass(frozen=True)
@@ -135,10 +120,6 @@ class AuctionSetting:
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def has_externality(self) -> bool:
-        return False
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -185,25 +166,14 @@ class GimSetting:
     def n(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def has_externality(self) -> bool:
-        return True
-
     def rivals(self, i: int) -> list[int]:
         return [j for j in range(self.n) if j != i]
 
-    def rival_mask(self, i: int, above: int | list | set | tuple) -> int:
-        """Convert a collection of bidder ids (or a bidder-id bitmask) into
-        the rival-rank bitmask used to index ``externality[i]``."""
-        if isinstance(above, (int, np.integer)):
-            ids = [j for j in range(self.n) if above >> j & 1]
-        else:
-            ids = list(above)
-        mask = 0
-        for rank, j in enumerate(self.rivals(i)):
-            if j in ids:
-                mask |= 1 << rank
-        return mask
+    def rival_mask(self, i: int, above: Iterable[int]) -> int:
+        """The rival-rank bitmask of the bidder ids ``above``, which indexes
+        ``externality[i]``."""
+        ids = set(above)
+        return sum(1 << rank for rank, j in enumerate(self.rivals(i)) if j in ids)
 
     @cached_property
     def _factor_table(self) -> list[list[float]]:
@@ -217,15 +187,12 @@ class GimSetting:
             table.append(self.externality[i][rank_mask].tolist())
         return table
 
-    def externality_factor(self, i: int, above: int | list | set | tuple) -> float:
-        """f_i of the bidders in ``above`` (ids or a bidder-id bitmask); i
-        itself and ids outside 0..n-1 are ignored, as in ``rival_mask``."""
-        if isinstance(above, (int, np.integer)):
-            mask = int(above)
-        else:
-            mask = 0
-            for j in above:
-                mask |= 1 << j
+    def externality_factor(self, i: int, above: Iterable[int]) -> float:
+        """f_i of the bidder ids in ``above``; i itself and ids outside
+        0..n-1 are ignored, as in ``rival_mask``."""
+        mask = 0
+        for j in above:
+            mask |= 1 << j
         return self._factor_table[i][mask & ((1 << self.n) - 1)]
 
     def to_json_dict(self) -> dict:
@@ -251,50 +218,55 @@ class GimSetting:
 Setting = AuctionSetting | GimSetting
 
 
-def setting_from_json_dict(doc: dict) -> Setting:
-    kind = doc["model_kind"]
-    if kind in NO_EXTERNALITY_MODELS:
-        return AuctionSetting(
-            model_kind=kind,
-            m=int(doc["m"]),
-            values=np.array(doc["values"], dtype=float),
-            clicks=np.array(doc["clicks"], dtype=float),
-            qualities=np.array(doc["qualities"], dtype=float),
-            position_factors=(np.array(doc["position_factors"], dtype=float)
-                              if "position_factors" in doc else None),
-            normalized_to=doc.get("normalized_to"),
-        )
-    n = int(doc["n"])
+def _rank_externality(entries, n: int) -> np.ndarray:
     ext = np.ones((n, 1 << (n - 1)))
-    for i, entry in enumerate(doc["externality"]):
+    for i, entry in enumerate(entries):
         rivals = [j for j in range(n) if j != i]
-        for key, value in entry.items():
-            gmask = int(key)
-            rmask = 0
-            for rank, j in enumerate(rivals):
-                if gmask >> j & 1:
-                    rmask |= 1 << rank
-            ext[i][rmask] = value
-    return GimSetting(
-        model_kind=kind,
-        m=int(doc["m"]),
-        values=np.array(doc["values"], dtype=float),
-        qualities=np.array(doc["qualities"], dtype=float),
-        externality=ext,
-        continuation=(np.array(doc["continuation"], dtype=float)
-                      if "continuation" in doc else None),
-        normalized_to=doc.get("normalized_to"),
-    )
+        for key, value in entry.items():  # bidder-id mask -> rival-rank mask
+            ids = int(key)
+            ext[i][sum(1 << rank for rank, j in enumerate(rivals) if ids >> j & 1)] = value
+    return ext
+
+
+def _field(doc: dict, name: str, convert=None, ndim: int = 1, required: bool = True):
+    """``doc[name]`` through ``convert``, else as an ``ndim``-D float array;
+    None if it is absent and not required."""
+    if name not in doc:
+        if required:
+            raise ValueError(f"setting lacks the field {name!r}")
+        return None
+    try:
+        if convert is not None:
+            return convert(doc[name])
+        if (value := np.array(doc[name], dtype=float)).ndim != ndim:
+            raise ValueError(f"{value.ndim}-D where {ndim}-D numbers belong")
+        return value
+    except (TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise ValueError(f"setting field {name!r} is ill-typed: {exc}") from None
+
+
+def setting_from_json_dict(doc: dict) -> Setting:
+    """The setting that ``to_json_dict`` wrote; a missing or ill-typed field
+    or an unknown model kind raises a ValueError naming it."""
+    kind = _field(doc, "model_kind", str)
+    if kind not in ALL_MODELS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    no_ext = kind in NO_EXTERNALITY_MODELS
+    common = dict(model_kind=kind, m=_field(doc, "m", int),
+                  values=_field(doc, "values", ndim=2 if no_ext else 1),
+                  qualities=_field(doc, "qualities"),
+                  normalized_to=_field(doc, "normalized_to", float, required=False))
+    if no_ext:
+        return AuctionSetting(clicks=_field(doc, "clicks", ndim=2), **common,
+                              position_factors=_field(doc, "position_factors", required=False))
+    n = _field(doc, "n", int)
+    ext = _field(doc, "externality", lambda entries: _rank_externality(entries, n))
+    return GimSetting(externality=ext, **common,
+                      continuation=_field(doc, "continuation", required=False))
 
 
 # --------------------------------------------------------------------------
 # sampling
-
-def _rng_of(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
 
 def _uniform_open(rng, lo: float, hi: float, size=None) -> np.ndarray:
     """Uniform on the half-open interval (lo, hi]."""
@@ -303,20 +275,16 @@ def _uniform_open(rng, lo: float, hi: float, size=None) -> np.ndarray:
 
 def _draw_values(rng, spec: DistributionSpec, size) -> np.ndarray:
     if spec.value_law == "ln":
-        loc, scale = spec.ln_value
-        return rng.lognormal(loc, scale, size)
-    lo, hi = spec.value_range
-    return _uniform_open(rng, lo, hi, size)
+        return rng.lognormal(*LN_LAW, size)
+    return _uniform_open(rng, *UNIFORM_RANGE, size)
 
 
 def _draw_qualities(rng, spec: DistributionSpec, size) -> np.ndarray:
     """Qualities live in (0, 1]; log-normal draws are rescaled by their max."""
     if spec.value_law == "ln":
-        loc, scale = spec.ln_quality
-        q = rng.lognormal(loc, scale, size)
+        q = rng.lognormal(*LN_LAW, size)
         return q / q.max()
-    lo, hi = spec.quality_range
-    return _uniform_open(rng, lo, hi, size)
+    return _uniform_open(rng, *UNIFORM_RANGE, size)
 
 
 def _position_curve(rng, n: int, m: int) -> np.ndarray:
@@ -375,7 +343,7 @@ def _sample_bss(rng, spec, n, m):
     clicks = np.tile(gamma, (n, 1))
     live = min(n, m)
     values = np.zeros((n, n))
-    lo, hi = spec.decay_range
+    lo, hi = DECAY_RANGE
     for i in range(n):
         peak = int(rng.integers(0, live))
         peak_value = float(_draw_values(rng, spec, 1)[0])
@@ -402,7 +370,7 @@ def _dense_externality(n: int, factor) -> np.ndarray:
 def _sample_cascade(rng, spec, n, m):
     v = _draw_values(rng, spec, n)
     q = _draw_qualities(rng, spec, n)
-    lo, hi = spec.continuation_range
+    lo, hi = CONTINUATION_RANGE
     cont = lo + (hi - lo) * rng.random(n)
     ext = _dense_externality(n, lambda i, ids: float(np.prod([cont[j] for j in ids])))
     return GimSetting("cascade", m, v, q, ext, continuation=cont)
@@ -411,7 +379,7 @@ def _sample_cascade(rng, spec, n, m):
 def _sample_hybrid(rng, spec, n, m):
     v = _draw_values(rng, spec, n)
     q = _draw_qualities(rng, spec, n)
-    lo, hi = spec.continuation_range
+    lo, hi = CONTINUATION_RANGE
     cont = lo + (hi - lo) * rng.random(n)
     delta = np.ones(n)
     if n > 1:
@@ -424,7 +392,7 @@ def _sample_hybrid(rng, spec, n, m):
 def _sample_gim(rng, spec, n, m):
     v = _draw_values(rng, spec, n)
     q = _draw_qualities(rng, spec, n)
-    lo, hi = spec.pairwise_range
+    lo, hi = PAIRWISE_RANGE
     pairwise = lo + (hi - lo) * rng.random((n, n))
     ext = _dense_externality(
         n, lambda i, ids: float(np.prod([pairwise[j, i] for j in ids])))
@@ -442,21 +410,19 @@ _SAMPLERS = {
 }
 
 
-def sample_setting(spec: DistributionSpec, n: int, m: int, rng=None) -> Setting:
+def sample_setting(spec: DistributionSpec, n: int, m: int,
+                   rng: np.random.Generator) -> Setting:
     """Draw one preference-profile instance.
 
-    Deterministic given the generator state: equal (spec, n, m, seed) inputs
-    produce bitwise-equal settings.  Retries up to the rejection budget if a
-    draw violates a model invariant (which signals an infeasible range).
+    Deterministic given the generator state: equal (spec, n, m) inputs and
+    generator states produce bitwise-equal settings.  Retries up to the
+    rejection budget if a draw violates a model invariant.
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    if rng is None:
-        rng = spec.seed
-    gen = _rng_of(rng)
     sampler = _SAMPLERS[spec.model_kind]
     for _ in range(REJECTION_BUDGET):
-        setting = sampler(gen, spec, n, m)
+        setting = sampler(rng, spec, n, m)
         if not validate_setting(setting) and setting.values.max() > 0:
             return setting
     raise SamplingError(

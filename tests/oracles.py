@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from posauction.agg import (ACTION, ARGMAX, OR, SUM, ActionGraphGame,
+from posauction.agg import (ACTION, ARGMAX, SUM, ActionGraphGame,
                             MissingTableEntry)
 from posauction.encoders import effective_bid_index
 from posauction.mechanisms import (MechanismSpec, apply_weight_rule, rounded_price,
@@ -163,8 +163,6 @@ def node_values_reference(game: ActionGraphGame, profile, order=None) -> np.ndar
             continue
         if node.kind == SUM:
             values[v] = sum(values[src] for src in node.sources())
-        elif node.kind == OR:
-            values[v] = int(any(values[src] for src in node.sources()))
         elif node.kind == ARGMAX:
             best = 0
             for rank, (src, _weight) in enumerate(node.in_arcs, start=1):

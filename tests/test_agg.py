@@ -3,13 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from posauction.agg import (ACTION, ARGMAX, OR, SUM, ActionGraphGame,
+from posauction.agg import (ACTION, ARGMAX, SUM, ActionGraphGame,
                             ConfigTable, MissingTableEntry, Node, dump_graph,
                             evaluate_profile, node_values, size_stats)
 from posauction.encoders import encode
 from posauction.mechanisms import (ROUNDING_RULES, TIE_LOTTERIES, TIE_RULES,
                                    MechanismSpec)
-from posauction.models import (DISTRIBUTION_NAMES, DistributionSpec,
+from posauction.models import (DISTRIBUTION_NAMES, DistributionSpec, GimSetting,
                                normalize_setting, sample_setting)
 
 from oracles import evaluate_profile_reference, node_values_reference
@@ -41,13 +41,14 @@ def counting_game():
     return ActionGraphGame([[0, 3], [1, 4]], nodes, tables)
 
 
-def or_argmax_game():
-    # bidder 1 picks low or high; an argmax node reports which is active
+def sum_argmax_game():
+    # bidder 1 picks low or high; a sum node counts its one token and an
+    # argmax node reports which action is active
     nodes = [
         Node(ACTION, owner=0),   # watcher
         Node(ACTION, owner=1),   # low
         Node(ACTION, owner=1),   # high
-        Node(OR),
+        Node(SUM),
         Node(ARGMAX),
     ]
     nodes[3].in_arcs = [(1, None), (2, None)]
@@ -65,11 +66,11 @@ def idle_argmax_game():
 
 def scalar_table_game():
     # a 0-dim ConfigTable and function nodes with no sources at all
-    nodes = [Node(ACTION, owner=0), Node(SUM), Node(OR), Node(ARGMAX),
+    nodes = [Node(ACTION, owner=0), Node(SUM), Node(SUM), Node(ARGMAX),
              Node(ACTION, owner=0)]
     nodes[4].in_arcs = [(1, None), (2, None), (3, None)]
-    tables = {0: ConfigTable((), (), np.array(-2.5)),
-              4: ConfigTable((1, 1, 1), (0, 0, 0), np.array([[[1.25]]]))}
+    tables = {0: ConfigTable((), np.array(-2.5)),
+              4: ConfigTable((0, 0, 0), np.array([[[1.25]]]))}
     return ActionGraphGame([[0, 4]], nodes, tables)
 
 
@@ -91,8 +92,8 @@ def test_missing_table_entry_signals_encoder_bug():
         evaluate_profile(game, [0])
 
 
-def test_or_and_argmax_nodes():
-    game = or_argmax_game()
+def test_sum_and_argmax_nodes():
+    game = sum_argmax_game()
     assert evaluate_profile(game, [0, 0])[0] == 10.0
     assert evaluate_profile(game, [0, 1])[0] == 20.0
 
@@ -117,7 +118,7 @@ def test_evaluate_profile_matches_reference():
     # so each (distribution, n) takes one rounding in turn, node values are
     # compared once per graph, and the lottery is varied only where the
     # encoders read it (random ties of externality settings)
-    for game in (constant_game(), counting_game(), or_argmax_game(),
+    for game in (constant_game(), counting_game(), sum_argmax_game(),
                  idle_argmax_game(), scalar_table_game()):
         _assert_matches_reference(game)
     for d, name in enumerate(DISTRIBUTION_NAMES):
@@ -130,7 +131,7 @@ def test_evaluate_profile_matches_reference():
                                                  rng=np.random.default_rng(n + 90)), 4)
             rounding = ROUNDING_RULES[(d + n) % len(ROUNDING_RULES)]
             for (fam, wr), tie in itertools.product(auctions, TIE_RULES):
-                lotteries = (TIE_LOTTERIES if s.has_externality and tie == "uniform"
+                lotteries = (TIE_LOTTERIES if isinstance(s, GimSetting) and tie == "uniform"
                              else ("independent",))
                 for lot in lotteries:
                     mech = MechanismSpec(family=fam, weight_rule=wr, tie_rule=tie,
@@ -166,7 +167,7 @@ def test_topological_order_variants_agree():
     {1: [(1, None)], 2: []},  # reads itself
 ])
 def test_plan_rejects_function_nodes_out_of_list_order(arcs):
-    nodes = [Node(ACTION, owner=0), Node(SUM, in_arcs=arcs[1]), Node(OR, in_arcs=arcs[2])]
+    nodes = [Node(ACTION, owner=0), Node(SUM, in_arcs=arcs[1]), Node(SUM, in_arcs=arcs[2])]
     game = ActionGraphGame([[0]], nodes, {0: {(): 0.0}})
     with pytest.raises(ValueError, match="not listed before it"):
         game.plan()
@@ -201,7 +202,8 @@ def test_size_stats_empty_and_encoded():
 
 def test_config_table_rejects_out_of_box_and_nan():
     data = np.array([[1.0, np.nan]])
-    table = ConfigTable((1, 2), (1, 0), data)
+    table = ConfigTable((1, 0), data)
+    assert table.dims == (1, 2)
     assert table[(1, 0)] == 1.0
     with pytest.raises(MissingTableEntry) as hole:
         table[(1, 1)]
@@ -230,11 +232,11 @@ def _watcher_game(table):
 
 
 @pytest.mark.parametrize("table, profile", [
-    (ConfigTable((2, 1), (1, 0), np.array([[1.0], [2.0]])), [0, 0]),  # arity
-    (ConfigTable((1,), (1,), np.array([1.0])), [0, 0]),               # above box
-    (ConfigTable((1,), (2,), np.array([1.0])), [0, 1]),               # below box
-    (ConfigTable((2,), (1,), np.array([1.0, np.nan])), [0, 0]),       # NaN hole
-    ({(1,): 1.0}, [0, 0]),                                             # no dict key
+    (ConfigTable((1, 0), np.array([[1.0], [2.0]])), [0, 0]),  # arity
+    (ConfigTable((1,), np.array([1.0])), [0, 0]),             # above box
+    (ConfigTable((2,), np.array([1.0])), [0, 1]),             # below box
+    (ConfigTable((1,), np.array([1.0, np.nan])), [0, 0]),     # NaN hole
+    ({(1,): 1.0}, [0, 0]),                                     # no dict key
 ])
 def test_missing_entries_raise_through_evaluate_profile(table, profile):
     fresh = _watcher_game(table)

@@ -43,9 +43,10 @@ def test_effective_bid_index_merges_equal_products():
     assert len(ebi.values) == 1 + 4 + 2
 
 
-def test_effective_bid_cap():
+def test_effective_bid_cap(monkeypatch):
+    monkeypatch.setattr(encoders, "VALUE_CAP", 10)
     with pytest.raises(EncodingSizeError):
-        effective_bid_index(np.array([1.0, 0.618]), 100, cap=10)
+        effective_bid_index(np.array([1.0, 0.618]), 100)
 
 
 def test_gfp_worked_example_tables():
@@ -116,11 +117,12 @@ def test_gim_with_trivial_externality_matches_gsp_encoder():
             evaluate_profile(g_gim, list(bids)), abs=1e-9)
 
 
-def test_gim_memory_cap():
+def test_gim_memory_cap(monkeypatch):
     s = sample_setting(DistributionSpec.from_name("gim-uni"), 4, 4,
                        rng=np.random.default_rng(1))
+    monkeypatch.setattr(encoders, "ENTRY_CAP", 100)
     with pytest.raises(EncodingSizeError):
-        encode_gim_gsp(s, MechanismSpec(family="gsp", k_max=8), entry_cap=100)
+        encode_gim_gsp(s, MechanismSpec(family="gsp", k_max=8))
 
 
 def test_family_dispatch_guards():

@@ -358,6 +358,38 @@ def test_cli_describe_names_json_of_the_wrong_shape(tmp_path, capsys, doc):
         f"error: {path} is not an instance record or setting object\n")
 
 
+CASCADE_PAIR = {"model_kind": "cascade", "n": 2, "m": 2, "values": [1.0, 2.0],
+                "qualities": [0.5, 0.5], "externality": [{"2": 0.5}, {"1": 0.5}],
+                "continuation": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({}, "setting lacks the field 'model_kind'"),
+    ({"model_kind": "v"}, "setting lacks the field 'm'"),
+    ({**CASCADE_PAIR, "externality": 5},
+     "setting field 'externality' is ill-typed: 'int' object is not iterable"),
+    ({"setting": {**CASCADE_PAIR, "values": [[1.0], [2.0]]}},
+     "setting field 'values' is ill-typed: 2-D where 1-D numbers belong"),
+    ({**CASCADE_PAIR, "model_kind": "nope"}, "unknown model kind 'nope'"),
+    ({"model_kind": "v", "n": 2, "m": 2, "values": [[1.0, 1.0]], "clicks": [[0.5, 0.25]],
+      "qualities": [0.5]}, "invalid setting: matrix shapes must be (1, 1)"),
+    ({**CASCADE_PAIR, "continuation": [0.5, 0.25]}, "invalid setting: cascade: externality "
+     "of bidder 0 does not match its continuation probabilities"),
+])
+def test_cli_describe_names_malformed_settings(tmp_path, capsys, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["describe", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_cli_describe_accepts_the_cascade_pair(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(CASCADE_PAIR))
+    assert cli_main(["describe", str(path)]) == 0
+    assert "f_0({1})=0.5000" in capsys.readouterr().out
+
+
 def test_cli_error_paths(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")

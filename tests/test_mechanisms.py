@@ -178,7 +178,7 @@ def test_outcome_groups_share_outcomes_exactly():
             grid = list(itertools.product(range(5), repeat=n))
             for (fam, wr), tie in itertools.product(auctions, TIE_RULES):
                 roundings = ROUNDING_RULES if fam == "gsp" else ("up",)
-                lotteries = (TIE_LOTTERIES if s.has_externality and tie == "uniform"
+                lotteries = (TIE_LOTTERIES if isinstance(s, GimSetting) and tie == "uniform"
                              else ("independent",))
                 for rounding, lot in itertools.product(roundings, lotteries):
                     mech = MechanismSpec(family=fam, weight_rule=wr, tie_rule=tie,

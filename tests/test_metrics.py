@@ -24,7 +24,7 @@ def test_vcg_outcome_is_fully_efficient():
     out = vcg(EOS_PAIR)
     mv = metric_vector(out, EOS_PAIR)
     assert mv.efficiency == 1.0
-    assert mv.envy_defined
+    assert mv.envy is not None
 
 
 def test_wgsp_worked_metrics():
@@ -77,7 +77,7 @@ def test_envy_undefined_with_externalities():
     out = simulate_outcome(s, mech, [2, 1])
     assert total_envy(out, s) is None
     mv = metric_vector(out, s)
-    assert not mv.envy_defined and mv.envy is None
+    assert mv.envy is None
 
 
 def test_eos_relevance_identical_across_full_allocations():
