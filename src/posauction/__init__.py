@@ -6,8 +6,7 @@ equilibria, and compare mechanisms on efficiency, revenue, relevance, and
 envy against VCG benchmarks with blocked bootstrap statistics.
 """
 
-from .agg import (ActionGraphGame, ConfigTable, MissingTableEntry, Node,
-                  dump_graph, evaluate_profile, size_stats)
+from .agg import ActionGraphGame, ConfigTable, evaluate_profile, size_stats
 from .encoders import (EffectiveBidIndex, EncodingSizeError, encode, encode_gfp,
                        encode_gim_gsp, encode_gsp, effective_bid_index)
 from .experiments import (ExperimentConfig, MechanismConfig, describe_instance,

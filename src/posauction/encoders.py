@@ -1,39 +1,33 @@
 """Compile auction settings into action-graph games.
 
-Every encoder builds the same frame (:class:`_Assembly`).  Per bidder and
-bid amount there is one action node.  Per *effective bid* (bid times
-bidder weight) one sum node counts every bid at it, and under second price
-a weighted argmax node over the lower ones recovers the next lower
-effective bid for the payment.  Distinct (bidder, bid) pairs with the same
-effective bid share one counting node, so argmax arc weights stay pairwise
-distinct.  Each positive bid's table is a view of its bidder's stack.
+A game is one stack per bidder and the payoff kernel that reads it (see
+:mod:`posauction.agg`).  Every encoder builds the same frame
+(:class:`_Assembly`): per bidder and bid amount one action, and per
+*effective bid* (bid times bidder weight) one slot, distinct (bidder, bid)
+pairs with the same effective bid sharing it.  Under second price the
+largest slot below a bid recovers the next lower effective bid, and each
+bidder's stack holds its rounded price at every such slot on its last axis.
 
 What each encoder adds is how a bid sees its rivals, and the stack layout
 that goes with it.  The no-externality encoder counts the rivals that tie
 with a bid and those that beat it.  The externality encoder gives each
-action node one base-3 rank digit per rival (0 below, 1 tied, 2 above),
-read by a sum node shared by every slot that splits that rival's bids the
-same way, so its tables span only the reachable digit codes.  Each encoder
-hands the payoff kernel the flat steps of its own layout.
+rival one base-3 rank digit (0 below, 1 tied, 2 above), so its stacks span
+only the reachable digit codes.  Each encoder hands the payoff kernel the
+flat steps of its own layout.
 
-Bids of zero are non-participation: their action nodes carry constant-zero
-tables and contribute no tokens anywhere else.
-
-An encode computes only what the equilibrium scan reads, the stacks and the
-payoff kernel; the graph is built on the first read of the game's ``nodes``
-or ``tables``, with its tables as views of the same stacks.
+Bids of zero are non-participation: their stack rows are zero, and they tie
+with and beat no one.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .agg import ACTION, ARGMAX, SUM, ActionGraphGame, ConfigTable, Node
+from .agg import ActionGraphGame
 from .mechanisms import MechanismSpec, apply_weight_rule
 from .models import AuctionSetting, GimSetting, Setting
 
@@ -75,8 +69,7 @@ def _pair_kernel(slots: np.ndarray, stacks: list[np.ndarray], gsp: bool,
     ``P_ij`` adds the flat step ``tie[i][j]`` where j ties i and
     ``above[i][j]`` where j beats it; the encoder reads both from its own
     stack layout.  Each table is (k+1)^2, so on an ``np.ix_`` box each term
-    is 2-D; built on the first call, they cost a game read only by its graph
-    nothing.
+    is 2-D; they are built on the first call.
     """
     @functools.cache
     def tables():  # all at once, over (i, j, b_i, b_j); the diagonal goes unused
@@ -106,9 +99,8 @@ def _pair_kernel(slots: np.ndarray, stacks: list[np.ndarray], gsp: bool,
 
 
 class _Assembly:
-    """The frame of every encoded game: on construction, what the solve path
-    reads (the weights, the effective-bid index and the action ids, numbered
-    bidder-major); the game it makes runs :meth:`graph` on first read."""
+    """The frame of every encoded game: the weights, the effective-bid index
+    and the action ids, numbered bidder-major."""
 
     def __init__(self, setting: Setting, mech: MechanismSpec):
         n, k_max = setting.n, mech.k_max
@@ -119,64 +111,15 @@ class _Assembly:
         self.agents = [list(range(i * (k_max + 1), (i + 1) * (k_max + 1))) for i in range(n)]
 
     def prices(self, i: int) -> np.ndarray:
-        """Bidder i's rounded price per argmax index (slot below its top bid)."""
+        """Bidder i's rounded price per price index (slot below its top bid)."""
         return _rounded_prices(self.ebi.values[:self.ebi.index[i, -1]],
                                float(self.weights[i]), self.mech.rounding)
 
-    def game(self, stacks: list[np.ndarray], rival_nodes, tie: list[list[int]],
+    def game(self, stacks: list[np.ndarray], tie: list[list[int]],
              above: list[list[int]], lo: int = 0) -> ActionGraphGame:
         return ActionGraphGame(
-            self.agents, payoffs=_pair_kernel(self.ebi.index, stacks, self.gsp, tie, above),
-            build=functools.partial(self.graph, stacks, rival_nodes, lo))
-
-    def graph(self, stacks: list[np.ndarray], rival_nodes, lo: int):
-        """The action nodes and one SUM ``eq@t`` node per effective-bid slot
-        t >= 1 over every bid at t; ``rival_nodes(self)`` adds the encoder's
-        nodes (:meth:`add`, :meth:`add_prices`) and returns ``rivals``.  Bid
-        k of bidder i, at slot t, reads ``rivals(i, t)`` (a fresh arc list),
-        then its price node under GSP; its table is the view
-        ``stacks[i][k, ..., :t]`` (``[..., 0]`` under first price), whose
-        first config axis starts at ``lo``.  Bid 0 is a constant zero."""
-        self.values = self.ebi.values.tolist()
-        self.nodes = [Node(ACTION, owner=i, label=f"bid({i},{k})")
-                      for i, actions in enumerate(self.agents) for k in range(len(actions))]
-        # the (bidder, bid) pairs of each slot, slots in first-seen order
-        self.bids_at: dict[int, list[tuple[int, int]]] = {}
-        for i, row in enumerate(self.ebi.index[:, 1:].tolist()):
-            for k, t in enumerate(row, start=1):
-                self.bids_at.setdefault(t, []).append((i, k))
-        self.eq = [None] + [self.add(f"eq@{self.values[t]:g}",
-                                   [(self.agents[i][k], None) for i, k in self.bids_at[t]])
-                          for t in range(1, len(self.values))]
-        rivals = rival_nodes(self)
-        tables: dict[int, object] = {}
-        for i, stack in enumerate(stacks):
-            actions = self.agents[i]
-            tables[actions[0]] = {(): 0.0}
-            config_axes = stack.ndim - (1 if self.gsp else 2)
-            corner = ((lo,) + (0,) * config_axes)[:config_axes]
-            for k, t in enumerate(self.ebi.index[i, 1:].tolist(), start=1):
-                arcs = rivals(i, t)
-                if self.gsp:
-                    arcs.append((self.price[t], None))
-                    block = stack[k, ..., :t]
-                else:
-                    block = stack[k, ..., 0]
-                self.nodes[actions[k]].in_arcs = arcs
-                tables[actions[k]] = ConfigTable(corner, block)
-        return self.nodes, tables
-
-    def add(self, label: str, arcs: list, kind: str = SUM) -> int:
-        self.nodes.append(Node(kind, arcs, None, label))
-        return len(self.nodes) - 1
-
-    def add_prices(self) -> None:
-        """Under GSP, slot t's argmax node reads every lower slot; each node
-        owns its slice of the arcs."""
-        if self.gsp:
-            arcs = [(self.eq[u], self.values[u]) for u in range(1, len(self.values))]
-            self.price = [None] + [self.add(f"price@{self.values[t]:g}", arcs[:t - 1], ARGMAX)
-                                 for t in range(1, len(self.values))]
+            self.agents, _pair_kernel(self.ebi.index, stacks, self.gsp, tie, above),
+            stacks, self.ebi.index, self.gsp, lo)
 
 
 def _rounded_prices(next_eff: np.ndarray, weight: float, rule: str) -> np.ndarray:
@@ -212,27 +155,6 @@ def _encode_no_ext(setting: AuctionSetting, mech: MechanismSpec) -> ActionGraphG
     asm = _Assembly(setting, mech)
     gsp = asm.gsp
     lex = mech.tie_rule == "lexicographic"
-
-    def rival_nodes(asm: _Assembly):
-        # an above@t chain, the price nodes, and under lexicographic ties
-        # an eq_lo/eq_hi pair per (slot, bidder at it)
-        values, eq = asm.values, asm.eq
-        T = len(values)
-        gt = {}
-        for t in range(T - 1, 0, -1):
-            arcs = [(eq[t + 1], None), (gt[t + 1], None)] if t + 1 < T else []
-            gt[t] = asm.add(f"above@{values[t]:g}", arcs)
-        asm.add_prices()
-
-        eq_side = {}
-        if lex:
-            for t, pairs in asm.bids_at.items():
-                for i in sorted({i for i, _ in pairs}):
-                    lo_arcs = [(asm.agents[j][k], None) for j, k in pairs if j < i]
-                    hi_arcs = [(asm.agents[j][k], None) for j, k in pairs if j > i]
-                    eq_side[t, i] = [(asm.add(f"eq_lo@{t}/{i}", lo_arcs), None),
-                                     (asm.add(f"eq_hi@{t}/{i}", hi_arcs), None)]
-        return lambda i, t: (eq_side[t, i] if lex else [(eq[t], None)]) + [(gt[t], None)]
 
     # per bidder one array over (bid, config axes..., price index): the
     # table of bid k is a view of row k, row 0 (no bid) stays zero, and the
@@ -281,7 +203,7 @@ def _encode_no_ext(setting: AuctionSetting, mech: MechanismSpec) -> ActionGraphG
            for i, s in enumerate(stacks)]
     above = [[s.strides[-2] // s.itemsize] * n for s in stacks]
     # uniform ties count the bidder itself on the tie axis
-    return asm.game(stacks, rival_nodes, tie, above, lo=0 if lex else 1)
+    return asm.game(stacks, tie, above, lo=0 if lex else 1)
 
 
 def encode_gfp(setting: AuctionSetting, mech: MechanismSpec) -> ActionGraphGame:
@@ -292,27 +214,25 @@ def encode_gfp(setting: AuctionSetting, mech: MechanismSpec) -> ActionGraphGame:
 
 
 def encode_gsp(setting: AuctionSetting, mech: MechanismSpec) -> ActionGraphGame:
-    """Second-price encoding: argmax price nodes recover the next lower
-    effective bid, divided by the winner's weight and rounded."""
+    """Second-price encoding: the largest slot below a bid recovers the next
+    lower effective bid, divided by the winner's weight and rounded."""
     if mech.family != "gsp":
         raise ValueError("encode_gsp requires a gsp mechanism")
     return _encode_no_ext(setting, mech)
 
 
 def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec) -> ActionGraphGame:
-    """Externality-setting encoding with one rank-digit node per rival.
+    """Externality-setting encoding with one rank digit per rival.
 
     Against bidder i's slot t, rival j is one base-3 digit: 0 below, 1 tied,
-    2 above.  A SUM node reads it directly, counting j's bids at a slot >= t
-    once and those above t twice; every slot that splits j's bids the same
-    way shares that node, across bidders too.  Each bidder's stack has one
-    axis per rival digit, rank 0 first, between the bid axis and the price
-    index, so every cell of a bid's table is reachable.
+    2 above.  Each bidder's stack has one axis per rival digit, rank 0
+    first, between the bid axis and the price index, so every cell of a
+    bid's table is reachable.
 
     Utility tables average over the tied-rival lottery: by default each tied
     rival ranks above independently with probability one half; the
     ``permutation`` option weighs subsets as a uniform random order of the
-    tied block instead.  The bidder pays the argmax price only when every
+    tied block instead.  The bidder pays the second price only when every
     tied rival ranks above it (it sits at the bottom of its block).
 
     The stacks are evaluated per bidder (see :func:`_gim_utilities`).
@@ -326,32 +246,6 @@ def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec) -> ActionGraphGame:
         raise EncodingSizeError(
             f"estimated {est} table entries exceed the cap of {ENTRY_CAP}")
 
-    def rival_nodes(asm: _Assembly):
-        # the price nodes, then rival j's rank digit against slot t (0 below,
-        # 1 tied, 2 above): a SUM over j's bids at a slot >= t plus those
-        # above t.  A bidder's slots rise with its bid (weights are
-        # positive), so its bids lo+1..hi tie t and those above hi rank
-        # above: every slot with the same (lo, hi) run of j shares one node;
-        # j needs none against a slot only it bids
-        asm.add_prices()
-        rank: list[list[tuple[int, None] | None]] = []
-        for j in range(n):
-            bid_arcs = [(node, None) for node in asm.agents[j][1:]]
-            bid_slots = asm.ebi.index[j, 1:].tolist()
-            shared: dict[tuple[int, int], tuple[int, None]] = {}
-            row = [None] * T
-            for t, pairs in asm.bids_at.items():
-                if pairs[0][0] == j and len(pairs) == 1:  # a bidder bids once per slot
-                    continue
-                lo = bisect.bisect_left(bid_slots, t)
-                hi = bisect.bisect_right(bid_slots, t, lo)
-                if (lo, hi) not in shared:
-                    shared[lo, hi] = (asm.add(f"rank<-{j}@{lo}:{hi}",
-                                              bid_arcs[lo:] + bid_arcs[hi:]), None)
-                row[t] = shared[lo, hi]
-            rank.append(row)
-        return lambda i, t: [rank[j][t] for j in range(n) if j != i]
-
     shape = (k_max + 1,) + (3,) * (n - 1) + (-1,)
     stacks = [_gim_utilities(setting, i, mech, asm.prices(i) if asm.gsp else None).reshape(shape)
               for i in range(n)]
@@ -359,7 +253,7 @@ def encode_gim_gsp(setting: GimSetting, mech: MechanismSpec) -> ActionGraphGame:
     # a tie is digit 1 there and ranking above is digit 2
     tie = [[s.strides[1 + j - (j > i)] // s.itemsize for j in range(n)]
            for i, s in enumerate(stacks)]
-    return asm.game(stacks, rival_nodes, tie, [[2 * step for step in row] for row in tie])
+    return asm.game(stacks, tie, [[2 * step for step in row] for row in tie])
 
 
 def _digit_cells(r_count: int) -> list[tuple[int, int]]:
@@ -436,7 +330,7 @@ def _gim_utilities(setting: GimSetting, i: int, mech: MechanismSpec,
     zero at bid 0.
 
     A digit code puts rival rank 0 in its most significant base-3 digit (0
-    below, 1 tied, 2 above).  ``prices`` holds the rounded price per argmax
+    below, 1 tied, 2 above).  ``prices`` holds the rounded price per price
     index (None under first price, where the bottom of a tied block pays its
     own bid and the last axis has length one).  Each lottery term of a cell
     is (prob * clicks) * (v - price): its weight is a scalar of the cell and

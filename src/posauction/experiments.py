@@ -579,9 +579,11 @@ def describe_instance(path: str) -> str:
         doc = json.load(fh)
     if not isinstance(doc, dict) or not isinstance(doc.get("setting", doc), dict):
         raise ValueError(f"{path} is not an instance record or setting object")
-    if "setting" not in doc and doc.get("error"):
-        raise ValueError(f"instance {doc.get('instance')} failed at its "
-                         f"{doc['error']['stage']} stage: {doc['error']['reason']}")
+    if "setting" not in doc and (error := doc.get("error")):
+        error = error if isinstance(error, dict) else {"reason": error}
+        stage = f" at its {error['stage']} stage" if "stage" in error else ""
+        reason = f": {error['reason']}" if "reason" in error else ""
+        raise ValueError(f"{path}: instance {doc.get('instance')} failed{stage}{reason}")
     try:
         setting = setting_from_json_dict(doc.get("setting", doc))
     except ValueError as exc:

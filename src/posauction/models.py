@@ -257,8 +257,11 @@ def setting_from_json_dict(doc: dict) -> Setting:
                   qualities=_field(doc, "qualities"),
                   normalized_to=_field(doc, "normalized_to", float, required=False))
     if no_ext:
-        return AuctionSetting(clicks=_field(doc, "clicks", ndim=2), **common,
-                              position_factors=_field(doc, "position_factors", required=False))
+        setting = AuctionSetting(clicks=_field(doc, "clicks", ndim=2), **common,
+                                 position_factors=_field(doc, "position_factors", required=False))
+        if (n := _field(doc, "n", int)) != setting.n:
+            raise ValueError(f"setting field 'n' is {n} but 'values' has {setting.n} rows")
+        return setting
     n = _field(doc, "n", int)
     ext = _field(doc, "externality", lambda entries: _rank_externality(entries, n))
     return GimSetting(externality=ext, **common,

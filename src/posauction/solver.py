@@ -70,8 +70,6 @@ def enumerate_psne(game: ActionGraphGame, allowed: list[list[int]] | None = None
     with ``solved=False`` and holds the equilibria among those profiles.
     The work is a full scan of the prefix plus at most one ``_CHUNK`` box.
     """
-    if game.payoffs is None:
-        raise ValueError("game has no payoff kernel; build it with `encode`")
     if budget < 0:
         raise ValueError("budget must be non-negative")
     if allowed is None:

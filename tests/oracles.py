@@ -1,13 +1,13 @@
 """Independent brute-force oracles used across the test suite.
 
-Everything here deliberately avoids the action-graph path (and, for the
+Everything here deliberately avoids the payoff kernel (and, for the
 equilibrium oracle, the solver): payoffs come from the direct simulator and
 search is exhaustive.  The externality tables have a scalar reference too:
 :func:`gim_reference_tables` fills them one cell and one lottery term at a
 time.  Bootstrap relations have one in :func:`classify_pair_reference`,
-which sorts every test's resample means and reads the quantiles.  The AGG
-evaluator has one in :func:`evaluate_profile_reference`, the per-node walk
-over an int64 value array that the compiled evaluation plan replaced.
+which sorts every test's resample means and reads the quantiles.  The
+kernel's index arithmetic has one in :func:`table_payoffs_reference`, which
+works out each bidder's table configuration one rival at a time.
 """
 
 import itertools
@@ -15,8 +15,7 @@ import math
 
 import numpy as np
 
-from posauction.agg import (ACTION, ARGMAX, SUM, ActionGraphGame,
-                            MissingTableEntry)
+from posauction.agg import ActionGraphGame
 from posauction.encoders import effective_bid_index
 from posauction.mechanisms import (MechanismSpec, apply_weight_rule, rounded_price,
                                    simulate_outcome)
@@ -150,46 +149,33 @@ def gim_reference_tables(setting: GimSetting, mech: MechanismSpec):
     return out
 
 
-def node_values_reference(game: ActionGraphGame, profile, order=None) -> np.ndarray:
-    """Propagate token counts through the graph for one pure profile, node
-    by node in ``order`` (default: list order)."""
-    nodes = game.nodes
-    values = np.zeros(len(nodes), dtype=np.int64)
-    for i, choice in enumerate(profile):
-        values[game.agents[i][choice]] = 1
-    for v in (order if order is not None else range(len(nodes))):
-        node = nodes[v]
-        if node.kind == ACTION:
-            continue
-        if node.kind == SUM:
-            values[v] = sum(values[src] for src in node.sources())
-        elif node.kind == ARGMAX:
-            best = 0
-            for rank, (src, _weight) in enumerate(node.in_arcs, start=1):
-                if values[src]:
-                    best = max(best, rank)
-            values[v] = best
+def table_payoffs_reference(game: ActionGraphGame, setting, mech: MechanismSpec,
+                            profile) -> np.ndarray:
+    """Per-bidder payoffs of one pure profile, read by hand from
+    ``game.tables``.  Each bidder's configuration comes straight from the
+    effective-bid slots: the rivals tied (counting itself) and above under
+    uniform ties; tied rivals of smaller id, of larger id, and rivals above
+    under lexicographic ties; one rank digit per rival (0 below, 1 tied, 2
+    above) in externality settings; then under GSP the slot of the next
+    lower bid (0 when none is)."""
+    ebi = effective_bid_index(apply_weight_rule(setting, mech), mech.k_max)
+    slot = [int(ebi.index[i, b]) for i, b in enumerate(profile)]
+    payoffs = np.zeros(len(profile))
+    for i, t in enumerate(slot):
+        rivals = [j for j in range(len(profile)) if j != i]
+        if isinstance(setting, GimSetting):
+            config = [(slot[j] >= t) + (slot[j] > t) for j in rivals]
+        elif mech.tie_rule == "lexicographic":
+            config = [sum(slot[j] == t for j in rivals if j < i),
+                      sum(slot[j] == t for j in rivals if j > i),
+                      sum(slot[j] > t for j in rivals)]
         else:
-            raise ValueError(f"unknown node kind {node.kind!r}")
-    return values
-
-
-def evaluate_profile_reference(game: ActionGraphGame, profile) -> np.ndarray:
-    """Per-bidder payoffs of a pure strategy profile.
-
-    Raises :class:`MissingTableEntry` if an encoder produced a non-total
-    table.
-    """
-    values = node_values_reference(game, profile)
-    payoffs = np.zeros(game.num_agents)
-    for i, choice in enumerate(profile):
-        node_id = game.agents[i][choice]
-        config = tuple(int(values[src]) for src in game.nodes[node_id].sources())
-        try:
-            payoffs[i] = game.tables[node_id][config]
-        except KeyError as exc:
-            raise MissingTableEntry(
-                f"node {node_id} has no entry for config {config}") from exc
+            config = [1 + sum(slot[j] == t for j in rivals), sum(slot[j] > t for j in rivals)]
+        if mech.family == "gsp":
+            config.append(max([slot[j] for j in rivals if slot[j] < t], default=0))
+        table = game.tables[game.agents[i][profile[i]]]
+        config = config if profile[i] else []  # bid 0: one constant entry
+        payoffs[i] = table.data[tuple(c - lo for c, lo in zip(config, table.lo))]
     return payoffs
 
 

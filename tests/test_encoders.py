@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from posauction import encoders
-from posauction.agg import ARGMAX, ConfigTable, dump_graph, evaluate_profile, size_stats
+from posauction.agg import ActionGraphGame, evaluate_profile, size_stats
 from posauction.encoders import (EncodingSizeError, _rounded_prices, effective_bid_index,
                                  encode, encode_gfp, encode_gim_gsp, encode_gsp)
 from posauction.experiments import (ExperimentConfig, MechanismConfig, _instance_rng,
@@ -18,7 +18,7 @@ from posauction.models import (DISTRIBUTION_NAMES, AuctionSetting, DistributionS
                                GimSetting, normalize_setting, sample_setting,
                                setting_from_json_dict)
 
-from oracles import gim_reference_tables
+from oracles import gim_reference_tables, table_payoffs_reference
 
 EOS_PAIR = AuctionSetting("eos", 2,
                           values=np.array([[10.0, 10.0], [4.0, 4.0]]),
@@ -197,6 +197,29 @@ def test_size_stats_shapes():
     assert stats["total_table_entries"] == n * k * n * n + n  # +n zero-bid tables
 
 
+# sha256 of "actions,entries;" per game of the grid below, in its order
+SIZE_STATS_DIGEST = "9b3e32f89be60b032aacdcee11eb9455ed572f4064a524f00d4be0a044e25af7"
+
+
+def test_size_stats_are_pinned():
+    # every distribution x gfp/ugsp/wgsp x both tie rules at n in {2, 3, 4}
+    # and k in {3, 5}: the action and table-entry counts of each game
+    h = hashlib.sha256()
+    games = 0
+    for d, name in enumerate(DISTRIBUTION_NAMES):
+        for n, k in itertools.product((2, 3, 4), (3, 5)):
+            s = normalize_setting(sample_setting(DistributionSpec.from_name(name), n, n,
+                                                 rng=np.random.default_rng([d, n, k])), k)
+            for (fam, wr), tie in itertools.product(
+                    (("gfp", "unit"), ("gsp", "unit"), ("gsp", "quality")), TIE_RULES):
+                stats = size_stats(encode(s, MechanismSpec(family=fam, weight_rule=wr,
+                                                           tie_rule=tie, k_max=k)))
+                h.update(f"{stats['action_nodes']},{stats['total_table_entries']};".encode())
+                games += 1
+    assert games == 13 * 6 * 6
+    assert h.hexdigest() == SIZE_STATS_DIGEST
+
+
 def test_gsp_tables_grow_at_most_quadratically_in_k():
     s = sample_setting(DistributionSpec.from_name("v-uni"), 4, 4,
                        rng=np.random.default_rng(0))
@@ -234,9 +257,10 @@ def test_gim_tables_equal_per_cell_reference():
 
 
 def test_payoff_kernel_equals_graph_evaluation():
-    # the vectorized payoffs the equilibrium scan reads must be the graph's
-    # payoffs exactly, at every profile and for every bidder; the roundings
-    # take turns (shifted per setting) to keep the grid small
+    # the vectorized payoffs the equilibrium scan reads must be the tables
+    # read at each bidder's configuration, exactly, at every profile and for
+    # every bidder; the roundings take turns (shifted per setting) to keep
+    # the grid small
     mechs = [(fam, wr, tie, lot)
              for fam, wr in (("gfp", "unit"), ("gsp", "unit"), ("gsp", "quality"),
                              ("gfp", "quality"))
@@ -254,7 +278,7 @@ def test_payoff_kernel_equals_graph_evaluation():
                                  rounding=roundings[(turn + shift) % 4], k_max=4,
                                  gim_tie_lottery=lot)
             game = encode(s, mech)
-            ref = np.array([evaluate_profile(game, p) for p in grid]).T
+            ref = np.array([table_payoffs_reference(game, s, mech, p) for p in grid]).T
             for i in range(n):
                 assert np.array_equal(game.payoffs(i, bids), ref[i])
 
@@ -270,9 +294,10 @@ def test_gim_payoff_kernel_equals_graph_evaluation_with_three_rivals():
         for fam, wr in (("gfp", "unit"), ("gsp", "unit"), ("gsp", "quality")):
             for tie in ("uniform", "lexicographic"):
                 for lot in ("independent", "permutation"):
-                    game = encode(s, MechanismSpec(family=fam, weight_rule=wr, tie_rule=tie,
-                                                   k_max=3, gim_tie_lottery=lot))
-                    ref = np.array([evaluate_profile(game, p) for p in grid]).T
+                    mech = MechanismSpec(family=fam, weight_rule=wr, tie_rule=tie, k_max=3,
+                                         gim_tie_lottery=lot)
+                    game = encode(s, mech)
+                    ref = np.array([table_payoffs_reference(game, s, mech, p) for p in grid]).T
                     for i in range(4):
                         assert np.array_equal(game.payoffs(i, bids), ref[i])
 
@@ -385,105 +410,6 @@ def test_payoff_kernel_on_a_box_equals_column_form():
                 assert on_box.tobytes() == game.payoffs(i, columns).tobytes()
 
 
-@pytest.mark.parametrize("tie", ["uniform", "lexicographic"])
-@pytest.mark.parametrize("fam,wr", [("gfp", "unit"), ("gsp", "unit"), ("gsp", "quality")])
-def test_no_ext_price_nodes_read_every_lower_slot(fam, wr, tie):
-    k = 8
-    s = normalize_setting(sample_setting(DistributionSpec.from_name("v-ln"), 4, 4,
-                                         rng=np.random.default_rng(5)), k)
-    mech = MechanismSpec(family=fam, weight_rule=wr, tie_rule=tie, k_max=k)
-    game = encode(s, mech)
-    values = effective_bid_index(apply_weight_rule(s, mech), k).values
-    eq = [i for i, node in enumerate(game.nodes) if node.label.startswith("eq@")]
-    prices = [node for node in game.nodes if node.kind == ARGMAX]
-    assert [node.label for node in prices] == (
-        [f"price@{v:g}" for v in values[1:]] if fam == "gsp" else [])
-    for t, node in enumerate(prices, start=1):
-        assert node.in_arcs == [(eq[u - 1], float(values[u])) for u in range(1, t)]
-        weights = [w for _, w in node.in_arcs]
-        assert all(a < b for a, b in zip(weights, weights[1:]))
-    # each node owns its arc list
-    before = [list(node.in_arcs) for node in prices]
-    for node in prices:
-        node.in_arcs.append((-1, -1.0))
-        assert [x.in_arcs for x in prices if x is not node] == [
-            b for x, b in zip(prices, before) if x is not node]
-        node.in_arcs.pop()
-
-
-WGSP_V_PAIR_K3 = """\
-0\taction\towner=0\t[] bid(0,0)
-1\taction\towner=0\t[9, 16, 19] bid(0,1)
-2\taction\towner=0\t[11, 14, 21] bid(0,2)
-3\taction\towner=0\t[12, 13, 22] bid(0,3)
-4\taction\towner=1\t[] bid(1,0)
-5\taction\towner=1\t[8, 17, 18] bid(1,1)
-6\taction\towner=1\t[9, 16, 19] bid(1,2)
-7\taction\towner=1\t[10, 15, 20] bid(1,3)
-8\tsum\towner=-\t[5] eq@0.4
-9\tsum\towner=-\t[1, 6] eq@0.8
-10\tsum\towner=-\t[7] eq@1.2
-11\tsum\towner=-\t[2] eq@1.6
-12\tsum\towner=-\t[3] eq@2.4
-13\tsum\towner=-\t[] above@2.4
-14\tsum\towner=-\t[12, 13] above@1.6
-15\tsum\towner=-\t[11, 14] above@1.2
-16\tsum\towner=-\t[10, 15] above@0.8
-17\tsum\towner=-\t[9, 16] above@0.4
-18\targmax\towner=-\t[] price@0.4
-19\targmax\towner=-\t[8(w=0.4)] price@0.8
-20\targmax\towner=-\t[8(w=0.4), 9(w=0.8)] price@1.2
-21\targmax\towner=-\t[8(w=0.4), 9(w=0.8), 10(w=1.2)] price@1.6
-22\targmax\towner=-\t[8(w=0.4), 9(w=0.8), 10(w=1.2), 11(w=1.6)] price@2.4
-"""
-
-UGSP_LEX_EOS_PAIR_K2 = """\
-0\taction\towner=0\t[] bid(0,0)
-1\taction\towner=0\t[12, 13, 9, 10] bid(0,1)
-2\taction\towner=0\t[16, 17, 8, 11] bid(0,2)
-3\taction\towner=1\t[] bid(1,0)
-4\taction\towner=1\t[14, 15, 9, 10] bid(1,1)
-5\taction\towner=1\t[18, 19, 8, 11] bid(1,2)
-6\tsum\towner=-\t[1, 4] eq@1
-7\tsum\towner=-\t[2, 5] eq@2
-8\tsum\towner=-\t[] above@2
-9\tsum\towner=-\t[7, 8] above@1
-10\targmax\towner=-\t[] price@1
-11\targmax\towner=-\t[6(w=1)] price@2
-12\tsum\towner=-\t[] eq_lo@1/0
-13\tsum\towner=-\t[4] eq_hi@1/0
-14\tsum\towner=-\t[1] eq_lo@1/1
-15\tsum\towner=-\t[] eq_hi@1/1
-16\tsum\towner=-\t[] eq_lo@2/0
-17\tsum\towner=-\t[5] eq_hi@2/0
-18\tsum\towner=-\t[2] eq_lo@2/1
-19\tsum\towner=-\t[] eq_hi@2/1
-"""
-
-GFP_EOS_PAIR_K2 = """\
-0\taction\towner=0\t[] bid(0,0)
-1\taction\towner=0\t[6, 9] bid(0,1)
-2\taction\towner=0\t[7, 8] bid(0,2)
-3\taction\towner=1\t[] bid(1,0)
-4\taction\towner=1\t[6, 9] bid(1,1)
-5\taction\towner=1\t[7, 8] bid(1,2)
-6\tsum\towner=-\t[1, 4] eq@1
-7\tsum\towner=-\t[2, 5] eq@2
-8\tsum\towner=-\t[] above@2
-9\tsum\towner=-\t[7, 8] above@1
-"""
-
-
-@pytest.mark.parametrize("setting,mech,expected", [
-    (V_PAIR, MechanismSpec(family="gsp", weight_rule="quality", k_max=3), WGSP_V_PAIR_K3),
-    (EOS_PAIR, MechanismSpec(family="gsp", weight_rule="unit", tie_rule="lexicographic",
-                             k_max=2), UGSP_LEX_EOS_PAIR_K2),
-    (EOS_PAIR, MechanismSpec(family="gfp", weight_rule="unit", k_max=2), GFP_EOS_PAIR_K2),
-])
-def test_no_ext_graph_dump_is_pinned(setting, mech, expected):
-    assert dump_graph(encode(setting, mech)) == expected
-
-
 def test_effective_bids_and_rounded_prices_equal_scalar_forms():
     # the slots are the distinct products k*w, as a per-product loop finds
     # them; every slot of every bidder rounds as the simulator's scalar
@@ -523,10 +449,52 @@ def test_effective_bids_and_rounded_prices_equal_scalar_forms():
     assert checked > 50_000
 
 
+@pytest.mark.parametrize("tie", ["uniform", "lexicographic"])
+@pytest.mark.parametrize("fam,wr", [("gfp", "unit"), ("gsp", "unit"), ("gsp", "quality")])
+def test_no_ext_price_nodes_read_every_lower_slot(fam, wr, tie):
+    # the kernel's price index is the argmax over lower slots: under GSP
+    # bid b at slot t carries one price entry per slot 0..t-1, and a lone
+    # rival bid at any lower slot u is read there, the price never falling
+    # as u rises; under first price no table has a price axis
+    k, n = 8, 4
+    s = normalize_setting(sample_setting(DistributionSpec.from_name("v-ln"), n, 4,
+                                         rng=np.random.default_rng(5)), k)
+    mech = MechanismSpec(family=fam, weight_rule=wr, tie_rule=tie, k_max=k)
+    game = encode(s, mech)
+    index = effective_bid_index(apply_weight_rule(s, mech), k).index
+    config = [0, 0, 0] if tie == "lexicographic" else [1, 0]  # alone at its slot
+    reads = 0
+    for i in range(n):
+        for b in range(1, k + 1):
+            t = int(index[i, b])
+            table = game.tables[game.agents[i][b]]
+            assert table.data.ndim == len(config) + (fam == "gsp")
+            if fam == "gfp":
+                continue
+            assert table.dims[-1] == t
+            paid = {}
+            for j in range(n):
+                for c in range(k + 1):
+                    u = int(index[j, c])
+                    if j == i or u >= t:
+                        continue
+                    profile = [0] * n
+                    profile[i], profile[j] = b, c
+                    at = tuple(x - lo for x, lo in zip(config + [u], table.lo))
+                    paid[u] = evaluate_profile(game, profile)[i]
+                    assert paid[u] == table.data[at], (i, b, j, c)
+                    reads += 1
+            assert 0 in paid
+            payoffs = [paid[u] for u in sorted(paid)]
+            assert all(a >= b for a, b in zip(payoffs, payoffs[1:])), (i, b)
+    assert (reads > 0) == (fam == "gsp")
+
+
 @pytest.mark.parametrize("dist", ["v-uni", "cascade-uni"])
 def test_solve_path_never_builds_the_graph(dist, monkeypatch):
     # the scan reads only the stacks behind the payoff kernel: with the
-    # graph builder refusing, every record is the one a readable graph gives
+    # tables refusing to be built, every record is the one a readable game
+    # gives
     mechanisms = [MechanismConfig.named(name, tie_rule=tie, label=f"{name}-{tie}")
                   for name in ("gfp", "ugsp", "wgsp") for tie in TIE_RULES]
     cfg = ExperimentConfig(distributions=[dist], mechanisms=mechanisms, n=3, m=3, k=5,
@@ -535,19 +503,19 @@ def test_solve_path_never_builds_the_graph(dist, monkeypatch):
     assert all(cell["solved"] and "error" not in cell
                for record in want for cell in record["mechanisms"].values())
 
-    def refuse(*_args):
-        raise AssertionError("the graph was built")
+    def refuse(_game):
+        raise AssertionError("the tables were built")
 
-    monkeypatch.setattr(encoders._Assembly, "graph", refuse)
+    monkeypatch.setattr(ActionGraphGame, "tables", property(refuse))
     assert [run_instance(cfg, dist, 0, instance, cfg.n, cfg.m, cfg.k)
             for instance in range(3)] == want
     game = encode(setting_from_json_dict(want[0]["setting"]), MechanismSpec(k_max=cfg.k))
-    with pytest.raises(AssertionError, match="the graph was built"):
+    with pytest.raises(AssertionError, match="the tables were built"):
         game.tables
 
 
 def test_graph_does_not_depend_on_when_it_is_read(monkeypatch):
-    # the graph read before the scan and the graph read after it are the
+    # the tables read before the scan and the tables read after it are the
     # same, and every table is a view of the stack the kernel reads
     stacks = []
 
@@ -569,9 +537,9 @@ def test_graph_does_not_depend_on_when_it_is_read(monkeypatch):
                 game = encode(s, mech)
                 if scan_first:
                     enumerate_psne(game)
-                views.append((dump_graph(game), size_stats(game),
+                views.append((size_stats(game),
                               {v: (t.dims, t.lo, t.data.tobytes())
-                               for v, t in game.tables.items() if isinstance(t, ConfigTable)}))
+                               for v, t in game.tables.items()}))
                 enumerate_psne(game)
                 for i, actions in enumerate(game.agents):
                     for v in actions[1:]:

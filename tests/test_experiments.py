@@ -344,7 +344,21 @@ def test_cli_run_and_describe(tmp_path, capsys):
                                                             "reason": "bad draw"}}))
     assert cli_main(["describe", str(failed)]) == 2
     assert capsys.readouterr().err == (
-        "error: instance 7 failed at its sample stage: bad draw\n")
+        f"error: {failed}: instance 7 failed at its sample stage: bad draw\n")
+
+
+@pytest.mark.parametrize("error, said", [
+    ({"reason": "x"}, "failed: x"),
+    ({"stage": "encode"}, "failed at its encode stage"),
+    ({"note": "?"}, "failed"),
+    ("boom", "failed: boom"),
+])
+def test_cli_describe_names_a_partial_failure(tmp_path, capsys, error, said):
+    # a failed record names its file and whatever of its failure it holds
+    path = tmp_path / "failed.json"
+    path.write_text(json.dumps({"instance": 3, "error": error}))
+    assert cli_main(["describe", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: instance 3 {said}\n"
 
 
 @pytest.mark.parametrize("doc", [[1, 2], "x", None, 4, {"setting": 5},
@@ -371,10 +385,13 @@ CASCADE_PAIR = {"model_kind": "cascade", "n": 2, "m": 2, "values": [1.0, 2.0],
     ({"setting": {**CASCADE_PAIR, "values": [[1.0], [2.0]]}},
      "setting field 'values' is ill-typed: 2-D where 1-D numbers belong"),
     ({**CASCADE_PAIR, "model_kind": "nope"}, "unknown model kind 'nope'"),
-    ({"model_kind": "v", "n": 2, "m": 2, "values": [[1.0, 1.0]], "clicks": [[0.5, 0.25]],
+    ({"model_kind": "v", "n": 1, "m": 2, "values": [[1.0, 1.0]], "clicks": [[0.5, 0.25]],
       "qualities": [0.5]}, "invalid setting: matrix shapes must be (1, 1)"),
     ({**CASCADE_PAIR, "continuation": [0.5, 0.25]}, "invalid setting: cascade: externality "
      "of bidder 0 does not match its continuation probabilities"),
+    ({"model_kind": "v", "n": 5, "m": 2, "values": [[1.0, 1.0], [2.0, 2.0]],
+      "clicks": [[0.5, 0.25], [0.5, 0.25]], "qualities": [0.5, 0.5]},
+     "setting field 'n' is 5 but 'values' has 2 rows"),
 ])
 def test_cli_describe_names_malformed_settings(tmp_path, capsys, doc, message):
     path = tmp_path / "doc.json"

@@ -162,6 +162,17 @@ def _dumps(setting):
     return json.dumps(setting.to_json_dict(), indent=2, sort_keys=True)
 
 
+def test_setting_from_json_dict_rejects_a_mismatched_n():
+    # n must match the rows of a no-externality setting's matrices, as it
+    # sizes the externality table of the others
+    doc = sample_setting(DistributionSpec.from_name("v-uni"), 2, 2, rng=rng(3)).to_json_dict()
+    assert setting_from_json_dict(doc).n == 2
+    with pytest.raises(ValueError, match="setting field 'n' is 5 but 'values' has 2 rows"):
+        setting_from_json_dict({**doc, "n": 5})
+    with pytest.raises(ValueError, match="setting lacks the field 'n'"):
+        setting_from_json_dict({key: v for key, v in doc.items() if key != "n"})
+
+
 def test_distribution_spec_validation():
     with pytest.raises(ValueError):
         DistributionSpec.from_name("nope-uni")

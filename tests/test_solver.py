@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_psne
 from posauction import solver
-from posauction.agg import ActionGraphGame
 from posauction.encoders import encode
 from posauction.mechanisms import MechanismSpec, simulate_outcome
 from posauction.models import (AuctionSetting, DistributionSpec,
@@ -94,17 +93,6 @@ def test_wgsp_enumeration_matches_brute_force_at_k4():
     es = enumerate_psne(encode(s, mech), allowed)
     assert es.solved
     assert es.profiles == brute_force_psne(s, mech, allowed)
-
-
-def test_hand_built_game_is_rejected():
-    # only an encoder supplies the payoff kernel the scan reads
-    s = normalize_setting(
-        sample_setting(DistributionSpec.from_name("v-uni"), 2, 2,
-                       rng=np.random.default_rng(9)), 3)
-    game = encode(s, MechanismSpec(family="gsp", weight_rule="quality", k_max=3))
-    bare = ActionGraphGame(game.agents, game.nodes, game.tables)
-    with pytest.raises(ValueError, match="no payoff kernel"):
-        enumerate_psne(bare)
 
 
 def test_budget_exhaustion_reports_unsolved():
