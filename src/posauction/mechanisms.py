@@ -6,6 +6,10 @@ ground-truth oracle that the action-graph encodings are checked against, so
 it deliberately shares no evaluation code with that path (only the mechanism
 definitions below).
 
+The welfare optimizers and VCG find no-externality allocations with an
+in-repo exact assignment solver, :func:`linear_sum_assignment`, which makes
+the same choice as SciPy's among tied optimal assignments.
+
 A bid of zero is a non-participation bid: the bidder receives no slot, pays
 nothing, and does not influence anyone else's position or price.
 """
@@ -17,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .models import AuctionSetting, GimSetting, Setting
 
@@ -316,6 +319,79 @@ def outcome_groups(setting: Setting, mech: MechanismSpec, profiles
 # --------------------------------------------------------------------------
 # welfare and click optimization
 
+def linear_sum_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost assignment of every row of ``cost`` to a distinct column.
+
+    Shortest augmenting paths with dual updates (Crouse, "On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 2016), the algorithm of
+    ``scipy.optimize.linear_sum_assignment``, followed step for step so that
+    among tied optimal assignments it makes SciPy's choice: the remaining
+    columns start in reverse order and a chosen one is swapped with the last,
+    reduced costs are summed left to right, and of the columns tied at the
+    lowest path cost the last unassigned one found wins, else the first.
+    Takes a finite square or wide matrix (rows <= columns) and returns
+    ``(rows, cols)`` as integer index arrays, the rows in order.
+    """
+    cost = np.asarray(cost, dtype=float)
+    nr, nc = cost.shape
+    if nr > nc:
+        raise ValueError("cost matrix has more rows than columns")
+    c = cost.tolist()
+    inf = math.inf
+    u = [0.0] * nr
+    v = [0.0] * nc
+    path = [-1] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    start = list(range(nc - 1, -1, -1))
+    for cur in range(nr):
+        spc = [inf] * nc
+        remaining = start[:]
+        rows_seen = []
+        cols_seen = []
+        min_val = 0.0
+        i = cur
+        while True:
+            rows_seen.append(i)
+            row = c[i]
+            ui = u[i]
+            index = -1
+            lowest = inf
+            it = 0
+            for j in remaining:
+                r = min_val + row[j] - ui - v[j]
+                s = spc[j]
+                if r < s:
+                    path[j] = i
+                    spc[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] < 0):
+                    lowest = s
+                    index = it
+                it += 1
+            min_val = lowest
+            j = remaining[index]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            i = row4col[j]
+            if i < 0:
+                break
+        sink = j
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - spc[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return np.arange(nr), np.array(col4row, dtype=np.intp)
+
+
 def _ordered_subsets(n: int, m: int):
     ids = range(n)
     for size in range(0, min(n, m) + 1):
@@ -333,6 +409,21 @@ def _ordering_contributions(setting: GimSetting, ordering, values=None) -> np.nd
     return out
 
 
+def _ordering_welfares(setting: GimSetting, values=None) -> list[tuple[tuple, float]]:
+    """Every ordered subset of at most m bidders with its total value, in
+    enumeration order."""
+    return [(ordering, float(_ordering_contributions(setting, ordering, values).sum()))
+            for ordering in _ordered_subsets(setting.n, setting.m)]
+
+
+def _best_ordering(welfares) -> tuple[tuple, float]:
+    best, best_w = (), 0.0
+    for ordering, wsum in welfares:
+        if wsum > best_w + 1e-15:
+            best, best_w = ordering, wsum
+    return best, best_w
+
+
 def max_welfare(setting: Setting, values=None):
     """Best achievable total value.
 
@@ -347,12 +438,7 @@ def max_welfare(setting: Setting, values=None):
         row, col = linear_sum_assignment(-gain)
         alloc = {int(i): int(j) + 1 for i, j in zip(row, col)}
         return alloc, float(gain[row, col].sum())
-    best, best_w = (), 0.0
-    for ordering in _ordered_subsets(setting.n, setting.m):
-        wsum = float(_ordering_contributions(setting, ordering, values).sum())
-        if wsum > best_w + 1e-15:
-            best, best_w = ordering, wsum
-    return best, best_w
+    return _best_ordering(_ordering_welfares(setting, values))
 
 
 def max_clicks(setting: Setting) -> float:
@@ -386,18 +472,14 @@ def _welfare_of_alloc(setting: Setting, alloc, values) -> np.ndarray:
     return out
 
 
-def _max_welfare_without(setting: Setting, skip: int, values) -> float:
-    if isinstance(setting, AuctionSetting):
-        keep = [i for i in range(setting.n) if i != skip]
-        gain = (setting.clicks * values)[keep]
-        row, col = linear_sum_assignment(-gain)
-        return float(gain[row, col].sum())
-    best = 0.0
-    for ordering in _ordered_subsets(setting.n, setting.m):
-        if skip in ordering:
-            continue
-        best = max(best, float(_ordering_contributions(setting, ordering, values).sum()))
-    return best
+def _max_welfare_without(setting: AuctionSetting, skip: int, values) -> float:
+    """Best total value of a no-externality setting with bidder ``skip``
+    left out.  :func:`vcg` takes an externality setting's from the one
+    enumeration it already made."""
+    keep = [i for i in range(setting.n) if i != skip]
+    gain = (setting.clicks * values)[keep]
+    row, col = linear_sum_assignment(-gain)
+    return float(gain[row, col].sum())
 
 
 def _grid_values(setting: Setting, k_max: int) -> np.ndarray:
@@ -413,22 +495,23 @@ def vcg(setting: Setting, discretize: int | None = None) -> Outcome:
     on those reports; utilities are always computed against true values.
     """
     reports = setting.values if discretize is None else _grid_values(setting, discretize)
-    alloc, _ = max_welfare(setting, values=reports)
+    if isinstance(setting, AuctionSetting):
+        alloc, _ = max_welfare(setting, values=reports)
+        positions = dict(alloc)
+        others_best = {i: _max_welfare_without(setting, i, reports) for i in positions}
+    else:
+        welfares = _ordering_welfares(setting, reports)
+        alloc, _ = _best_ordering(welfares)
+        positions = {i: pos + 1 for pos, i in enumerate(alloc)}
+        others_best = {i: max([0.0] + [w for ordering, w in welfares if i not in ordering])
+                       for i in positions}
     contrib = _welfare_of_alloc(setting, alloc, reports)
     total_reported = float(contrib.sum())
 
     n = setting.n
     payments = np.zeros(n)
-    positions = {}
-    if isinstance(setting, AuctionSetting):
-        positions = dict(alloc)
-    else:
-        positions = {i: pos + 1 for pos, i in enumerate(alloc)}
-    for i in range(n):
-        if i not in positions:
-            continue
-        others_best = _max_welfare_without(setting, i, reports)
-        payments[i] = others_best - (total_reported - contrib[i])
+    for i in positions:
+        payments[i] = others_best[i] - (total_reported - contrib[i])
 
     lottery: list[list[tuple[int, float, float, float]]] = []
     for i in range(n):

@@ -7,7 +7,9 @@ search is exhaustive.  The externality tables have a scalar reference too:
 time.  Bootstrap relations have one in :func:`classify_pair_reference`,
 which sorts every test's resample means and reads the quantiles.  The
 kernel's index arithmetic has one in :func:`table_payoffs_reference`, which
-works out each bidder's table configuration one rival at a time.
+works out each bidder's table configuration one rival at a time.  VCG on
+externality settings has one in :func:`gim_vcg_reference`, which enumerates
+the orderings afresh for every bidder it leaves out.
 """
 
 import itertools
@@ -66,6 +68,37 @@ def brute_force_assignment_welfare(setting: AuctionSetting):
             for slots in itertools.permutations(positions, size):
                 best = max(best, sum(gain[a, s] for a, s in zip(agents, slots)))
     return best
+
+
+def gim_vcg_reference(setting: GimSetting, reports):
+    """Welfare-maximizing ordering, its welfare and the Clarke payments of an
+    externality setting under ``reports``, with one fresh enumeration of
+    every ordered subset of at most m bidders per question: one for the
+    allocation and one per placed bidder for the welfare of the others.
+    Returns ``(ordering, welfare, payments)``."""
+    n = setting.n
+
+    def welfares(skip=None):
+        for size in range(min(n, setting.m) + 1):
+            for ordering in itertools.permutations(range(n), size):
+                if skip in ordering:
+                    continue
+                out = np.zeros(n)
+                for pos, i in enumerate(ordering):
+                    out[i] = (setting.qualities[i]
+                              * setting.externality_factor(i, ordering[:pos])
+                              * reports[i])
+                yield ordering, out
+
+    best, best_out, best_w = (), np.zeros(n), 0.0
+    for ordering, out in welfares():
+        if float(out.sum()) > best_w + 1e-15:
+            best, best_out, best_w = ordering, out, float(out.sum())
+    payments = np.zeros(n)
+    for i in best:
+        others = max([0.0] + [float(out.sum()) for _, out in welfares(skip=i)])
+        payments[i] = others - (best_w - best_out[i])
+    return best, best_w, payments
 
 
 def gim_cell(setting: GimSetting, i: int, k: int, tied: int, above: int,

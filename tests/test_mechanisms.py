@@ -2,10 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_force_assignment_welfare
+from oracles import brute_force_assignment_welfare, gim_vcg_reference
 from posauction.mechanisms import (ROUNDING_RULES, TIE_LOTTERIES, TIE_RULES,
-                                   MechanismSpec, bidder_weights, max_clicks,
+                                   MechanismSpec, bidder_weights,
+                                   linear_sum_assignment, max_clicks,
                                    max_welfare, outcome_groups, rounded_price,
                                    simulate_outcome, vcg)
 from posauction.models import (DISTRIBUTION_NAMES, AuctionSetting,
@@ -301,3 +304,120 @@ def test_discretized_vcg_uses_rounded_reports(eos_pair):
     assert out.payments_total == pytest.approx([0.75, 0.0])
     # utilities are evaluated against true values
     assert out.expected_utility == pytest.approx([0.5 * 9.6 - 0.75, 0.25 * 3.2])
+
+
+def _gim_settings():
+    for name in DISTRIBUTION_NAMES:
+        spec = DistributionSpec.from_name(name)
+        if spec.model_kind not in ("cascade", "hybrid", "gim"):
+            continue
+        for n in range(1, 5):
+            for m in range(1, n + 1):
+                rng = np.random.default_rng(10 * n + m)
+                for _ in range(3):
+                    yield f"{name}/n={n}/m={m}", normalize_setting(
+                        sample_setting(spec, n, m, rng), 7)
+
+
+def test_gim_vcg_matches_per_skip_enumeration():
+    # vcg enumerates the orderings once and reads every bidder's Clarke term
+    # from that one list; the reference enumerates afresh per bidder
+    kinds = set()
+    for label, s in _gim_settings():
+        kinds.add(s.model_kind)
+        for discretize in (None, 7, 2):
+            reports = (s.values if discretize is None
+                       else np.clip(np.floor(s.values + 0.5), 0.0, float(discretize)))
+            ordering, welfare, payments = gim_vcg_reference(s, reports)
+            assert max_welfare(s, values=reports) == (ordering, welfare), label
+            out = vcg(s, discretize=discretize)
+            assert out.payments_total.tolist() == payments.tolist(), label
+            placed = [i for i in range(s.n) if out.slot_lottery[i][0][0] > 0]
+            assert sorted(placed, key=lambda i: out.slot_lottery[i][0][0]) == list(ordering)
+    assert kinds == {"cascade", "hybrid", "gim"}
+
+
+# --------------------------------------------------------------------------
+# the assignment solver
+
+def _cost_cases(rng):
+    """Float, small-integer (ties), rank-1 integer (ties) and constant
+    matrices of shapes 0 x n, 1 x 1, (n-1) x n and n x n for n up to 10, and
+    near-ties that rounding decides: tenths, and integer reports times float
+    click rates, as vcg's matrices are."""
+    shapes = {(0, 1), (1, 1)}
+    for n in range(1, 11):
+        shapes |= {(0, n), (n - 1, n), (n, n)}
+    for shape in sorted(shapes):
+        nr, nc = shape
+        yield rng.normal(size=shape)
+        yield rng.integers(-2, 3, size=shape).astype(float)
+        yield -np.outer(rng.integers(0, 4, nr), rng.integers(0, 4, nc)).astype(float)
+        yield np.full(shape, float(rng.integers(-3, 4)))
+        yield rng.integers(-9, 10, size=shape) / 10
+        yield -np.outer(rng.integers(0, 5, nr), rng.random(nc))
+
+
+def _same_as_scipy(cost):
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    want = scipy_optimize.linear_sum_assignment(cost)
+    got = linear_sum_assignment(cost)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want], cost
+    assert all(a.dtype.kind == "i" for a in got)
+
+
+def test_assignment_solver_makes_scipys_choice():
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        for cost in _cost_cases(rng):
+            _same_as_scipy(cost)
+
+
+@st.composite
+def _cost_matrices(draw):
+    nc = draw(st.integers(0, 10))
+    nr = draw(st.integers(0, nc))
+    kind = draw(st.sampled_from(("float", "int", "tenths", "rank1", "scaled")))
+    if kind in ("rank1", "scaled"):
+        rows = draw(st.lists(st.integers(0, 5), min_size=nr, max_size=nr))
+        cols = draw(st.lists(st.integers(0, 5) if kind == "rank1" else st.floats(0, 1),
+                             min_size=nc, max_size=nc))
+        return -np.outer(rows, cols).astype(float).reshape(nr, nc)
+    cells = (st.floats(-1e6, 1e6) if kind == "float" else st.integers(-9, 9))
+    values = draw(st.lists(cells, min_size=nr * nc, max_size=nr * nc))
+    cost = np.array(values, dtype=float).reshape(nr, nc)
+    return cost / 10 if kind == "tenths" else cost
+
+
+@given(cost=_cost_matrices())
+@settings(max_examples=300, deadline=None)
+def test_assignment_solver_makes_scipys_choice_on_any_matrix(cost):
+    _same_as_scipy(cost)
+
+
+def test_assignment_solver_edges():
+    # an empty row set (vcg leaves out the only bidder) gives empty integer
+    # index arrays, which still index a matrix
+    for nc in (0, 1, 3):
+        rows, cols = linear_sum_assignment(np.zeros((0, nc)))
+        assert rows.dtype.kind == cols.dtype.kind == "i"
+        assert rows.size == cols.size == 0
+        assert np.zeros((0, nc))[rows, cols].sum() == 0.0
+    assert [a.tolist() for a in linear_sum_assignment(np.array([[4.0]]))] == [[0], [0]]
+    # a constant matrix gets the identity, a wide one its leading columns
+    assert linear_sum_assignment(np.ones((3, 5)))[1].tolist() == [0, 1, 2]
+    with pytest.raises(ValueError, match="more rows than columns"):
+        linear_sum_assignment(np.zeros((3, 2)))
+
+
+def test_assignment_solver_is_optimal():
+    rng = np.random.default_rng(8)
+    for n in range(1, 6):
+        for nr in (n - 1, n):
+            for _ in range(20):
+                cost = rng.integers(0, 4, size=(nr, n)).astype(float)
+                rows, cols = linear_sum_assignment(cost)
+                assert len(set(cols.tolist())) == nr
+                best = min(sum(cost[r, c] for r, c in zip(range(nr), perm))
+                           for perm in itertools.permutations(range(n), nr))
+                assert cost[rows, cols].sum() == best
