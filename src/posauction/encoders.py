@@ -68,8 +68,10 @@ def _pair_kernel(slots: np.ndarray, stacks: list[np.ndarray], gsp: bool,
     max over j of ``R_ij[b_i, b_j]``, j's slot where below i's, else 0).
     ``P_ij`` adds the flat step ``tie[i][j]`` where j ties i and
     ``above[i][j]`` where j beats it; the encoder reads both from its own
-    stack layout.  Each table is (k+1)^2, so on an ``np.ix_`` box each term
-    is 2-D; they are built on the first call.
+    stack layout.  Each table is (k+1)^2, so on a box each term is 2-D;
+    they are built on the first call.  The last, full-size term of the
+    index and of the price slot is summed into intp buffers kept between
+    calls, and the payoffs go into ``out`` when it is given.
     """
     @functools.cache
     def tables():  # all at once, over (i, j, b_i, b_j); the diagonal goes unused
@@ -78,22 +80,43 @@ def _pair_kernel(slots: np.ndarray, stacks: list[np.ndarray], gsp: bool,
         mine, theirs = slots[:, None, :, None], slots[None, :, None, :]
         step = (np.array(tie)[..., None, None] * (theirs == mine)
                 + np.array(above)[..., None, None] * (theirs > mine))
+        own, below = np.arange(slots.shape[1]) * bid_step[:, None], np.where(theirs < mine, theirs, 0)
+        # take's wrap mode skips the bounds check (with ``out``, that check
+        # buffers the result), so bound every reachable index once here
+        reach = (own.max(axis=1) + np.where(np.eye(n, dtype=bool), 0, step.max(axis=(2, 3))).sum(1)
+                 + (below.max(axis=(1, 2, 3)) if gsp else 0))
+        if (reach >= [stack.size for stack in stacks]).any():
+            raise RuntimeError("a payoff index can pass the end of its stack")
         # last rival first: on a box the full-size adds then run longer rows
-        return (np.arange(slots.shape[1]) * bid_step[:, None], step,
-                np.where(theirs < mine, theirs, 0), [stack.ravel() for stack in stacks],
+        return (own, step, below, [stack.ravel() for stack in stacks],
                 [[j for j in reversed(range(n)) if j != i] for i in range(n)])
 
-    def kernel(i: int, bids) -> np.ndarray:
+    kept = [np.empty(0, dtype=np.intp)] * 2
+
+    def full_size(slot: int, like: tuple[np.ndarray, ...]) -> np.ndarray:
+        shape = np.broadcast(*like).shape
+        size = math.prod(shape)
+        if kept[slot].size < size:
+            kept[slot] = np.empty(size, dtype=np.intp)
+        return kept[slot][:size].reshape(shape)
+
+    def kernel(i: int, bids, out: np.ndarray | None = None) -> np.ndarray:
         own, step, below, flat, rivals = tables()
         b = bids[i]
         index, rho = own[i, b], 0
-        for j in rivals[i]:
+        for j in rivals[i][:-1]:
             index = index + step[i, j][b, bids[j]]
             if gsp:
                 rho = np.maximum(rho, below[i, j][b, bids[j]])
-        if gsp:
-            index += rho  # in place: a fresh full-size array costs page faults
-        return flat[i].take(index)
+        for j in rivals[i][-1:]:
+            # the last term spans the whole box: add it into kept buffers,
+            # as fresh full-size arrays cost page faults
+            term = step[i, j][b, bids[j]]
+            index = np.add(index, term, out=full_size(0, (index, term)))
+            if gsp:
+                term = below[i, j][b, bids[j]]
+                index += np.maximum(rho, term, out=full_size(1, (index, term)))
+        return flat[i].take(index, out=out, mode="wrap")
 
     return kernel
 

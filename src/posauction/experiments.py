@@ -288,14 +288,16 @@ def run_instance(cfg: ExperimentConfig, dist_name: str, dist_index: int,
             es = enumerate_psne(game, allowed, budget=cfg.budget)
             cell["solved"] = es.solved
             cell["num_equilibria"] = len(es)
-            cell["profiles"] = [list(p) for p in es.profiles]
+            cell["profiles"] = es.bids.tolist()
             if es.solved and len(es) > 0:
-                first, group = outcome_groups(setting, mech, es.profiles)
+                first, group = outcome_groups(setting, mech, es.bids)
                 scored = []
                 for f in first:
-                    outcome = simulate_outcome(setting, mech, list(es.profiles[f]))
+                    outcome = simulate_outcome(setting, mech, es.bids[f].tolist())
                     scored.append(metrics_mod.metric_vector(outcome, setting, max_w, max_c))
-                values = {name: [scored[g].get(name) for g in group.tolist()]
+                # each equilibrium's values are its outcome's float objects
+                values = {name: np.fromiter((mv.get(name) for mv in scored), object,
+                                            len(scored))[group].tolist()
                           for name in metric_names}
                 cell["metric_values"] = values
                 cell["selections"] = _selection_summary(values)

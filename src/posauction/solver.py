@@ -11,7 +11,6 @@ unsolved game costs no more per profile than a solved one.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,17 +45,23 @@ def prune_dominated(setting: Setting, mech: MechanismSpec) -> list[list[int]]:
 class EquilibriumSet:
     """All pure equilibria of one (pruned) game.
 
-    ``solved`` is False when the scan hit its profile budget, in which case
-    ``profiles`` holds only the equilibria found before the cutoff and
-    downstream statistics substitute metric bounds.
+    ``bids`` holds one equilibrium per row, in lexicographic order;
+    ``profiles`` lists the same equilibria as tuples.  ``solved`` is False
+    when the scan hit its profile budget, in which case only the equilibria
+    found before the cutoff are held and downstream statistics substitute
+    metric bounds.
     """
 
-    profiles: list[tuple[int, ...]]
+    bids: np.ndarray  # (equilibria, bidders) integer bids
     solved: bool
     scanned: int = 0
 
+    @property
+    def profiles(self) -> list[tuple[int, ...]]:
+        return list(map(tuple, self.bids.tolist()))
+
     def __len__(self) -> int:
-        return len(self.profiles)
+        return len(self.bids)
 
 
 def enumerate_psne(game: ActionGraphGame, allowed: list[list[int]] | None = None,
@@ -86,46 +91,95 @@ def enumerate_psne(game: ActionGraphGame, allowed: list[list[int]] | None = None
     return EquilibriumSet(_scan(game, allowed, stop), total <= budget, scanned=stop)
 
 
-def _scan(game: ActionGraphGame, allowed: list[list[int]],
-          stop: int) -> list[tuple[int, ...]]:
-    """The equilibria among the first ``stop`` lexicographic profiles.
+def _scan(game: ActionGraphGame, allowed: list[list[int]], stop: int) -> np.ndarray:
+    """The equilibria among the first ``stop`` lexicographic profiles, one
+    per row of an (equilibria, bidders) array.
 
     j is the first bidder (at least 1) whose block ``prod(sizes[j:])`` fits
-    in ``_CHUNK``.  Each chunk is an ``np.ix_`` box of at most ``_CHUNK``
-    consecutive profiles: bidders before j-1 fixed, bidder j-1 over a run of
-    its bids, the rest over all of theirs.  A bidder whose axis spans its
-    set gets its exact best payoff as the max over that axis; the others
-    check the survivors against every allowed deviation in one call.
+    in ``_CHUNK``.  Each chunk is a box of at most ``_CHUNK`` consecutive
+    profiles: bidders before j-1 fixed, bidder j-1 over a run of its bids,
+    the rest over all of theirs.  A bidder whose axis spans its set gets its
+    exact best payoff as the max over that axis.  After each such check but
+    the last, the axes of the bidders already checked drop the bids that no
+    surviving profile holds: a bidder checked later still spans its set, so
+    the box narrows without losing a deviation, and it keeps its order.  The
+    other bidders check the survivors against every allowed deviation.  The
+    payoff and comparison buffers are kept across bidders and chunks.
     """
     n, sizes = len(allowed), [len(a) for a in allowed]
     block = [math.prod(sizes[i:]) for i in range(n + 1)]
     j = max(1, next(i for i, b in enumerate(block) if b <= _CHUNK))
     run = _CHUNK // block[j]
-    bid_of = [np.asarray(a, dtype=np.int64) for a in allowed]
-    hits = []
+    bid_of = [np.asarray(a, dtype=np.intp) for a in allowed]
+    width = min(run, sizes[j - 1]) * block[j]  # the largest box
+    buffers = np.empty(width), np.empty(width, dtype=bool)
+    hits = [np.empty((0, n), dtype=np.intp)]
     for p, prefix in enumerate(itertools.product(*map(range, sizes[:j - 1]))):
         for first in range(0, sizes[j - 1], run):
             start = (p * sizes[j - 1] + first) * block[j]
             if start >= stop:
-                return hits
+                return np.concatenate(hits)
             axes = ([b[k:k + 1] for b, k in zip(bid_of, prefix)]
                     + [bid_of[j - 1][first:first + run]] + bid_of[j:])
-            mask = np.ones([len(ax) for ax in axes], dtype=bool)
-            mask.reshape(-1)[stop - start:] = False
-            for i in (i for i in range(n) if len(axes[i]) == sizes[i]):
-                pay = game.payoffs(i, np.ix_(*axes))
-                # pay.max(axis=i) is several times slower on a short inner axis
-                best = functools.reduce(np.maximum, np.moveaxis(pay, i, 0))
-                mask &= pay >= np.expand_dims(best, i) - BR_TOL
-            # on a sparse mask np.nonzero costs far more than this
-            at = np.unravel_index(np.flatnonzero(mask), mask.shape)
-            surv = [ax[k] for ax, k in zip(axes, at)]
-            for i in (i for i in range(n) if len(axes[i]) < sizes[i]):
-                pay = game.payoffs(i, surv[:i] + [bid_of[i][:, None]] + surv[i + 1:])
-                keep = game.payoffs(i, surv) >= pay.max(axis=0) - BR_TOL
-                surv = [s[keep] for s in surv]
-            hits += zip(*(s.tolist() for s in surv))
-    return hits
+            hits.append(_chunk(game, bid_of, axes, stop - start, buffers))
+    return np.concatenate(hits)
+
+
+def _chunk(game: ActionGraphGame, bid_of: list[np.ndarray], axes: list[np.ndarray],
+           stop: int, buffers: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The equilibria among the first ``stop`` profiles of the box ``axes``."""
+    n = len(axes)
+    mask = np.ones([len(ax) for ax in axes], dtype=bool)
+    mask.reshape(-1)[stop:] = False
+    views = [[-1 if d == e else 1 for e in range(n)] for d in range(n)]
+    box = [ax.reshape(view) for ax, view in zip(axes, views)]
+    full = [i for i in range(n) if len(axes[i]) == len(bid_of[i])]
+    for c, i in enumerate(full):
+        size = mask.size
+        pay = game.payoffs(i, box, out=buffers[0][:size].reshape(mask.shape))
+        # (before i, i, after i): the max over the middle axis is the best
+        # payoff against each rival profile
+        pay = pay.reshape(math.prod(mask.shape[:i]), mask.shape[i], -1)
+        best = _middle_max(pay)
+        best -= BR_TOL
+        mask.reshape(pay.shape)[...] &= np.greater_equal(
+            pay, best, out=buffers[1][:size].reshape(pay.shape))
+        if c + 1 == len(full):
+            break
+        # the bids of each checked bidder that some survivor holds; dropping
+        # whole empty slices of one axis leaves the other axes' counts alone
+        keeps, rest = [], mask
+        for d in range(i + 1):
+            if d in full[:c + 1]:
+                keeps.append((d, rest.reshape(len(rest), -1).any(axis=1)))
+            rest = rest.any(axis=0) if d < i else rest
+        for d, keep in keeps:
+            if not keep.all():
+                axes[d] = axes[d][keep]
+                box[d] = axes[d].reshape(views[d])
+                mask = mask.compress(keep, axis=d)
+        if not mask.size:
+            return np.empty((0, n), dtype=np.intp)
+    # on a sparse mask np.nonzero costs far more than this
+    at = np.unravel_index(np.flatnonzero(mask), mask.shape)
+    surv = [ax[k] for ax, k in zip(axes, at)]
+    for i in (i for i in range(n) if i not in full):
+        pay = game.payoffs(i, surv[:i] + [bid_of[i][:, None]] + surv[i + 1:])
+        keep = game.payoffs(i, surv) >= pay.max(axis=0) - BR_TOL
+        surv = [s[keep] for s in surv]
+    return np.stack(surv, axis=1)
+
+
+def _middle_max(pay: np.ndarray) -> np.ndarray:
+    """``pay.max(axis=1, keepdims=True)`` of a 3-D array.  numpy reduces
+    fast over an axis with long rows after it, but several times slower
+    over short ones; there a slice at a time is faster."""
+    if pay.shape[2] >= 16:
+        return pay.max(axis=1, keepdims=True)
+    best = pay[:, :1].copy()
+    for k in range(1, pay.shape[1]):
+        np.maximum(best, pay[:, k:k + 1], out=best)
+    return best
 
 
 def select(values: list[float], criterion: str) -> float:

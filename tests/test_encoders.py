@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -408,6 +409,46 @@ def test_payoff_kernel_on_a_box_equals_column_form():
                 on_box = game.payoffs(i, box)
                 assert on_box.shape == tuple(len(a) for a in axes)
                 assert on_box.tobytes() == game.payoffs(i, columns).tobytes()
+
+
+@pytest.mark.parametrize("name", ["v-ln", "bhn-uni", "cascade-uni", "gim-ln"])
+def test_payoffs_into_out_equal_fresh_payoffs(name):
+    # the scan hands the kernel one kept payoff buffer for boxes that shrink
+    # as bidders are checked, and the kernel keeps its own index buffers:
+    # each call returns ``out`` itself, bit for bit what a fresh game gives
+    # without ``out``, and the last, larger box regrows the buffers
+    k = 5
+    shrinking = [[np.arange(k + 1)] * 3,
+                 [np.array([0, 2, 3, 5]), np.arange(k + 1), np.array([1, 4])],
+                 [np.array([3]), np.array([0, 5]), np.array([1, 4])],
+                 [np.array([2])] * 3]
+    for n in (1, 3):
+        s = normalize_setting(sample_setting(DistributionSpec.from_name(name), n, n,
+                                             rng=np.random.default_rng(5)), k)
+        for fam, tie in itertools.product(FAMILIES, TIE_RULES):
+            mech = MechanismSpec(family=fam, weight_rule="quality", tie_rule=tie, k_max=k)
+            game = encode(s, mech)
+            buf = np.empty((k + 1) ** n)
+            for axes in shrinking + shrinking[:1]:
+                axes = axes[:n]
+                shape = [len(ax) for ax in axes]
+                box = np.ix_(*axes)
+                for i in range(n):
+                    out = buf[:math.prod(shape)].reshape(shape)
+                    assert game.payoffs(i, box, out=out) is out
+                    assert out.tobytes() == encode(s, mech).payoffs(i, box).tobytes()
+
+
+def test_kernel_refuses_an_index_past_its_stack():
+    # the kernel gathers without a per-call bounds check, so a layout whose
+    # steps can reach past a stack is refused before its first payoff
+    slots = np.array([[0, 1], [0, 1]])
+    stacks = [np.arange(4.0).reshape(2, 2, 1)] * 2
+    fits = encoders._pair_kernel(slots, stacks, False, [[0, 1], [1, 0]], [[0, 1], [1, 0]])
+    assert fits(0, (np.array([0, 1]), np.array([1]))).tolist() == [1.0, 3.0]
+    past = encoders._pair_kernel(slots, stacks, False, [[0, 1], [1, 0]], [[0, 2], [2, 0]])
+    with pytest.raises(RuntimeError, match="pass the end"):
+        past(0, (np.array([0]), np.array([0])))
 
 
 def test_effective_bids_and_rounded_prices_equal_scalar_forms():

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 from oracles import brute_force_psne
 from posauction import solver
 from posauction.encoders import encode
-from posauction.mechanisms import MechanismSpec, simulate_outcome
-from posauction.models import (AuctionSetting, DistributionSpec,
+from posauction.mechanisms import (FAMILIES, ROUNDING_RULES, TIE_RULES, MechanismSpec,
+                                   simulate_outcome)
+from posauction.models import (DISTRIBUTION_NAMES, AuctionSetting, DistributionSpec,
                                normalize_setting, sample_setting)
 from posauction.solver import enumerate_psne, envy_free_filter, prune_dominated, select
 
@@ -156,9 +158,9 @@ def test_budget_bounds_the_work(monkeypatch):
     game = encode(s, mech)
     columns = []
 
-    def counted(i, bids):
+    def counted(i, bids, out=None):
         columns.append(np.broadcast(*bids).size)
-        return game.payoffs(i, bids)
+        return game.payoffs(i, bids, out=out)
 
     es = enumerate_psne(dataclasses.replace(game, payoffs=counted), allowed, budget=10)
     assert es.scanned == 10
@@ -204,6 +206,68 @@ def test_leading_bidders_checked_on_4_bidder_boxes(name, fam, wr, tie, monkeypat
             assert es.profiles == [p for p, f in zip(ref, flat) if f < budget]
             assert es.scanned == min(budget, total)
             assert es.solved == (budget >= total)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", ["eos-uni", "v-ln", "bhn-uni", "bss", "cascade-ln",
+                                  "hybrid-uni", "gim-ln"])
+def test_games_with_at_most_one_rival_match_brute_force(n, name):
+    # a lone bidder's payoff reads no rival term and one rival's is the
+    # kernel's whole box at once; both go through the scan's out= path
+    k = 4
+    for seed, fam, wr, tie in itertools.product(
+            range(2), FAMILIES, ("unit", "quality"), TIE_RULES):
+        s = normalize_setting(sample_setting(DistributionSpec.from_name(name), n, 1,
+                                             rng=np.random.default_rng(seed + 40)), k)
+        mech = MechanismSpec(family=fam, weight_rule=wr, tie_rule=tie, k_max=k)
+        allowed = prune_dominated(s, mech)
+        es = enumerate_psne(encode(s, mech), allowed)
+        assert es.solved
+        assert es.scanned == math.prod(len(a) for a in allowed)
+        assert es.profiles == brute_force_psne(s, mech, allowed)
+        assert es.bids.shape == (len(es), n)
+
+
+@st.composite
+def _scan_cases(draw):
+    name = draw(st.sampled_from(DISTRIBUTION_NAMES))
+    n, k = draw(st.sampled_from((1, 2, 3, 4))), draw(st.sampled_from((1, 2, 3, 4, 5)))
+    s = normalize_setting(sample_setting(
+        DistributionSpec.from_name(name), n, draw(st.integers(1, n)),
+        rng=np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))), k)
+    wr = draw(st.sampled_from(("unit", "quality", "squashed")
+                              + (("cascade",) if getattr(s, "continuation", None) is not None
+                                 else ())))
+    mech = MechanismSpec(family=draw(st.sampled_from(FAMILIES)), weight_rule=wr, squash=0.5,
+                         tie_rule=draw(st.sampled_from(TIE_RULES)),
+                         rounding=draw(st.sampled_from(ROUNDING_RULES)), k_max=k)
+    # the pruned sets, the whole grid, or any strictly increasing bid subsets
+    allowed = draw(st.sampled_from((
+        prune_dominated(s, mech), [list(range(k + 1))] * n,
+        [sorted(draw(st.sets(st.integers(0, k), min_size=1))) for _ in range(n)])))
+    total = math.prod(len(a) for a in allowed)
+    budget = draw(st.just(total) | st.integers(0, total + 1))
+    return s, mech, allowed, budget
+
+
+@given(case=_scan_cases())
+@settings(max_examples=100, deadline=None, database=None)
+def test_scan_matches_brute_force_on_random_games(case):
+    # the narrowing box, the kept buffers and the budget prefix together:
+    # the equilibria among the first `budget` lexicographic profiles, at one
+    # chunk per lattice and at chunks that cut the leading bidders' axes
+    s, mech, allowed, budget = case
+    sizes = [len(a) for a in allowed]
+    total = math.prod(sizes)
+    ref = [p for p in brute_force_psne(s, mech, allowed) if np.ravel_multi_index(
+        [a.index(b) for a, b in zip(allowed, p)], sizes) < budget]
+    game = encode(s, mech)
+    for chunk in (solver._CHUNK, 64):
+        with mock.patch.object(solver, "_CHUNK", chunk):
+            es = enumerate_psne(game, allowed, budget=budget)
+        assert es.profiles == ref
+        assert es.solved == (budget >= total)
+        assert es.scanned == min(budget, total)
 
 
 @pytest.mark.parametrize("allowed,match", [
