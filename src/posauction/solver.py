@@ -3,10 +3,14 @@
 One scan walks the pruned profile lattice in lexicographic order and keeps
 a profile iff no bidder has a unilateral deviation improving its payoff by
 more than 1e-9.  It reads payoffs only through ``ActionGraphGame.payoffs``,
-over ``np.ix_`` boxes of bid runs; the encoders answer from the tables they
-built, in their own layout, so the search knows nothing of how a game is
-encoded.  A profile budget cuts the scan at a prefix of the lattice, so an
-unsolved game costs no more per profile than a solved one.
+over boxes of bid runs, into one payoff buffer it keeps; the encoders answer
+from the tables they built, in their own layout, so the search knows nothing
+of how a game is encoded.  Each box narrows as its bidders are checked: the
+bids of a checked bidder that no surviving profile holds leave it, so the
+bidders checked later read fewer profiles (conditional pruning, as in
+Porter, Nudelman & Shoham, GEB 2008, here exact).  A profile budget cuts the
+scan at a prefix of the lattice, so an unsolved game costs no more per
+profile than a solved one.
 """
 
 from __future__ import annotations
@@ -142,17 +146,17 @@ def _chunk(game: ActionGraphGame, bid_of: list[np.ndarray], axes: list[np.ndarra
         pay = pay.reshape(math.prod(mask.shape[:i]), mask.shape[i], -1)
         best = _middle_max(pay)
         best -= BR_TOL
-        mask.reshape(pay.shape)[...] &= np.greater_equal(
-            pay, best, out=buffers[1][:size].reshape(pay.shape))
+        ok = np.greater_equal(pay, best, out=buffers[1][:size].reshape(pay.shape))
+        mask &= ok.reshape(mask.shape)
         if c + 1 == len(full):
             break
         # the bids of each checked bidder that some survivor holds; dropping
         # whole empty slices of one axis leaves the other axes' counts alone
         keeps, rest = [], mask
-        for d in range(i + 1):
-            if d in full[:c + 1]:
-                keeps.append((d, rest.reshape(len(rest), -1).any(axis=1)))
-            rest = rest.any(axis=0) if d < i else rest
+        for d in full[:c + 1]:
+            while rest.ndim > n - d:
+                rest = rest.any(axis=0)
+            keeps.append((d, rest.reshape(len(rest), -1).any(axis=1)))
         for d, keep in keeps:
             if not keep.all():
                 axes[d] = axes[d][keep]
@@ -171,13 +175,15 @@ def _chunk(game: ActionGraphGame, bid_of: list[np.ndarray], axes: list[np.ndarra
 
 
 def _middle_max(pay: np.ndarray) -> np.ndarray:
-    """``pay.max(axis=1, keepdims=True)`` of a 3-D array.  numpy reduces
-    fast over an axis with long rows after it, but several times slower
-    over short ones; there a slice at a time is faster."""
-    if pay.shape[2] >= 16:
+    """``pay.max(axis=1, keepdims=True)`` of a 3-D array.  Over short rows
+    numpy's reduction runs one short inner loop per (first, last) index
+    pair; when those pairs far outnumber the middle axis, a maximum over
+    one middle slice at a time is several times faster."""
+    lead, width, rest = pay.shape
+    if rest >= 16 or lead * rest <= 32 * width:
         return pay.max(axis=1, keepdims=True)
     best = pay[:, :1].copy()
-    for k in range(1, pay.shape[1]):
+    for k in range(1, width):
         np.maximum(best, pay[:, k:k + 1], out=best)
     return best
 
