@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -41,17 +41,20 @@ class ActionGraphGame:
     """A game: per-bidder action lists, utility stacks and the payoff kernel.
 
     ``agents[i]`` lists bidder i's action ids in action order (action index
-    == bid amount), numbered bidder-major.  ``payoffs(i, bids)`` gives
-    bidder i's payoffs for ``bids``, one integer action array per bidder,
-    broadcast together: at every profile of an ``np.ix_`` box, or per
-    column of an (agents x profiles) array.  ``stacks[i]`` is bidder i's
+    == bid amount), numbered bidder-major.  ``payoffs(i, bids, out=None)``
+    gives bidder i's payoffs for ``bids``, one integer action array per
+    bidder, broadcast together: at every profile of an ``np.ix_``-shaped
+    box, or per column of an (agents x profiles) array.  Given ``out``, a
+    float array of the broadcast shape, it writes the payoffs there and
+    returns it.  The kernel keeps scratch buffers between calls, so one game
+    is not read from two threads at once.  ``stacks[i]`` is bidder i's
     stack, ``slots[i, k]`` the effective-bid slot of its bid k, ``gsp``
     whether the stack's last axis is the price index (else it has length
     one) and ``lo`` where the first configuration axis starts.
     """
 
     agents: list[list[int]]
-    payoffs: Callable[[int, Sequence[np.ndarray]], np.ndarray]
+    payoffs: Callable[..., np.ndarray]  # (i, bids, out=None)
     stacks: list[np.ndarray]
     slots: np.ndarray
     gsp: bool

@@ -284,8 +284,8 @@ def run_instance(cfg: ExperimentConfig, dist_name: str, dist_index: int,
         try:
             mech = mc.spec(k)
             allowed = prune_dominated(setting, mech)
-            game = encode(setting, mech)
-            es = enumerate_psne(game, allowed, budget=cfg.budget)
+            # the game, its stacks and the kernel's buffers go with the scan
+            es = enumerate_psne(encode(setting, mech), allowed, budget=cfg.budget)
             cell["solved"] = es.solved
             cell["num_equilibria"] = len(es)
             cell["profiles"] = es.bids.tolist()
