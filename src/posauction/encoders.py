@@ -69,9 +69,9 @@ def _pair_kernel(slots: np.ndarray, stacks: list[np.ndarray], gsp: bool,
     ``P_ij`` adds the flat step ``tie[i][j]`` where j ties i and
     ``above[i][j]`` where j beats it; the encoder reads both from its own
     stack layout.  Each table is (k+1)^2, so on a box each term is 2-D;
-    they are built on the first call.  The last, full-size term of the
-    index and of the price slot is summed into intp buffers kept between
-    calls, and the payoffs go into ``out`` when it is given.
+    they are built on the first call.  Given ``out``, the payoffs go there,
+    and the last, full-size term of the index and of the price slot is
+    summed into intp buffers kept between calls.
     """
     @functools.cache
     def tables():  # all at once, over (i, j, b_i, b_j); the diagonal goes unused
@@ -80,7 +80,8 @@ def _pair_kernel(slots: np.ndarray, stacks: list[np.ndarray], gsp: bool,
         mine, theirs = slots[:, None, :, None], slots[None, :, None, :]
         step = (np.array(tie)[..., None, None] * (theirs == mine)
                 + np.array(above)[..., None, None] * (theirs > mine))
-        own, below = np.arange(slots.shape[1]) * bid_step[:, None], np.where(theirs < mine, theirs, 0)
+        own = np.arange(slots.shape[1]) * bid_step[:, None]
+        below = np.where(theirs < mine, theirs, 0)
         # take's wrap mode skips the bounds check (with ``out``, that check
         # buffers the result), so bound every reachable index once here
         reach = (own.max(axis=1) + np.where(np.eye(n, dtype=bool), 0, step.max(axis=(2, 3))).sum(1)
@@ -93,29 +94,29 @@ def _pair_kernel(slots: np.ndarray, stacks: list[np.ndarray], gsp: bool,
 
     kept = [np.empty(0, dtype=np.intp)] * 2
 
-    def full_size(slot: int, like: tuple[np.ndarray, ...]) -> np.ndarray:
-        shape = np.broadcast(*like).shape
-        size = math.prod(shape)
-        if kept[slot].size < size:
-            kept[slot] = np.empty(size, dtype=np.intp)
-        return kept[slot][:size].reshape(shape)
+    def shaped_as(out: np.ndarray, slot: int) -> np.ndarray:
+        """Kept buffer ``slot`` as an intp array of ``out``'s shape."""
+        if kept[slot].size < out.size:
+            kept[slot] = np.empty(out.size, dtype=np.intp)
+        return kept[slot][:out.size].reshape(out.shape)
 
     def kernel(i: int, bids, out: np.ndarray | None = None) -> np.ndarray:
         own, step, below, flat, rivals = tables()
         b = bids[i]
+        # with ``out`` the last term spans the whole box: it goes into kept
+        # buffers, as fresh full-size arrays cost page faults
+        summed, last = (rivals[i], ()) if out is None else (rivals[i][:-1], rivals[i][-1:])
         index, rho = own[i, b], 0
-        for j in rivals[i][:-1]:
+        for j in summed:
             index = index + step[i, j][b, bids[j]]
             if gsp:
                 rho = np.maximum(rho, below[i, j][b, bids[j]])
-        for j in rivals[i][-1:]:
-            # the last term spans the whole box: add it into kept buffers,
-            # as fresh full-size arrays cost page faults
-            term = step[i, j][b, bids[j]]
-            index = np.add(index, term, out=full_size(0, (index, term)))
+        for j in last:
+            index = np.add(index, step[i, j][b, bids[j]], out=shaped_as(out, 0))
             if gsp:
-                term = below[i, j][b, bids[j]]
-                index += np.maximum(rho, term, out=full_size(1, (index, term)))
+                rho = np.maximum(rho, below[i, j][b, bids[j]], out=shaped_as(out, 1))
+        if gsp:
+            index += rho  # in place: a fresh full-size array costs page faults
         return flat[i].take(index, out=out, mode="wrap")
 
     return kernel

@@ -416,7 +416,8 @@ def test_payoffs_into_out_equal_fresh_payoffs(name):
     # the scan hands the kernel one kept payoff buffer for boxes that shrink
     # as bidders are checked, and the kernel keeps its own index buffers:
     # each call returns ``out`` itself, bit for bit what a fresh game gives
-    # without ``out``, and the last, larger box regrows the buffers
+    # without ``out`` and what the same game then gives without it, and the
+    # last, larger box regrows the buffers
     k = 5
     shrinking = [[np.arange(k + 1)] * 3,
                  [np.array([0, 2, 3, 5]), np.arange(k + 1), np.array([1, 4])],
@@ -437,6 +438,7 @@ def test_payoffs_into_out_equal_fresh_payoffs(name):
                     out = buf[:math.prod(shape)].reshape(shape)
                     assert game.payoffs(i, box, out=out) is out
                     assert out.tobytes() == encode(s, mech).payoffs(i, box).tobytes()
+                    assert out.tobytes() == game.payoffs(i, box).tobytes()
 
 
 def test_kernel_refuses_an_index_past_its_stack():
