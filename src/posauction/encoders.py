@@ -70,8 +70,9 @@ def _pair_kernel(slots: np.ndarray, stacks: list[np.ndarray], gsp: bool,
     ``above[i][j]`` where j beats it; the encoder reads both from its own
     stack layout.  Each table is (k+1)^2, so on a box each term is 2-D;
     they are built on the first call.  Given ``out``, the payoffs go there,
-    and the last, full-size term of the index and of the price slot is
-    summed into intp buffers kept between calls.
+    the last, full-size term of the index and of the price slot is summed
+    into intp buffers kept between calls, and the gather runs in take's wrap
+    mode, which the tables' reach bound makes exact.
     """
     @functools.cache
     def tables():  # all at once, over (i, j, b_i, b_j); the diagonal goes unused
@@ -82,8 +83,8 @@ def _pair_kernel(slots: np.ndarray, stacks: list[np.ndarray], gsp: bool,
                 + np.array(above)[..., None, None] * (theirs > mine))
         own = np.arange(slots.shape[1]) * bid_step[:, None]
         below = np.where(theirs < mine, theirs, 0)
-        # take's wrap mode skips the bounds check (with ``out``, that check
-        # buffers the result), so bound every reachable index once here
+        # given ``out``, take's default mode buffers the result, and wrap
+        # mode, which does not, checks no bounds: bound every index once here
         reach = (own.max(axis=1) + np.where(np.eye(n, dtype=bool), 0, step.max(axis=(2, 3))).sum(1)
                  + (below.max(axis=(1, 2, 3)) if gsp else 0))
         if (reach >= [stack.size for stack in stacks]).any():
@@ -117,6 +118,8 @@ def _pair_kernel(slots: np.ndarray, stacks: list[np.ndarray], gsp: bool,
                 rho = np.maximum(rho, below[i, j][b, bids[j]], out=shaped_as(out, 1))
         if gsp:
             index += rho  # in place: a fresh full-size array costs page faults
+        if out is None:
+            return flat[i].take(index)
         return flat[i].take(index, out=out, mode="wrap")
 
     return kernel

@@ -295,9 +295,7 @@ def run_instance(cfg: ExperimentConfig, dist_name: str, dist_index: int,
                 for f in first:
                     outcome = simulate_outcome(setting, mech, es.bids[f].tolist())
                     scored.append(metrics_mod.metric_vector(outcome, setting, max_w, max_c))
-                # each equilibrium's values are its outcome's float objects
-                values = {name: np.fromiter((mv.get(name) for mv in scored), object,
-                                            len(scored))[group].tolist()
+                values = {name: [scored[g].get(name) for g in group.tolist()]
                           for name in metric_names}
                 cell["metric_values"] = values
                 cell["selections"] = _selection_summary(values)

@@ -141,10 +141,13 @@ def _chunk(game: ActionGraphGame, bid_of: list[np.ndarray], axes: list[np.ndarra
     for c, i in enumerate(full):
         size = mask.size
         pay = game.payoffs(i, box, out=buffers[0][:size].reshape(mask.shape))
-        # (before i, i, after i): the max over the middle axis is the best
-        # payoff against each rival profile
+        # (before i, i, after i): the max over the middle axis, one slice at
+        # a time, is the best payoff against each rival profile;
+        # pay.max(axis=i) is several times slower on a short inner axis
         pay = pay.reshape(math.prod(mask.shape[:i]), mask.shape[i], -1)
-        best = _middle_max(pay)
+        best = pay[:, :1].copy()
+        for k in range(1, pay.shape[1]):
+            np.maximum(best, pay[:, k:k + 1], out=best)
         best -= BR_TOL
         ok = np.greater_equal(pay, best, out=buffers[1][:size].reshape(pay.shape))
         mask &= ok.reshape(mask.shape)
@@ -172,20 +175,6 @@ def _chunk(game: ActionGraphGame, bid_of: list[np.ndarray], axes: list[np.ndarra
         keep = game.payoffs(i, surv) >= pay.max(axis=0) - BR_TOL
         surv = [s[keep] for s in surv]
     return np.stack(surv, axis=1)
-
-
-def _middle_max(pay: np.ndarray) -> np.ndarray:
-    """``pay.max(axis=1, keepdims=True)`` of a 3-D array.  Over short rows
-    numpy's reduction runs one short inner loop per (first, last) index
-    pair; when those pairs far outnumber the middle axis, a maximum over
-    one middle slice at a time is several times faster."""
-    lead, width, rest = pay.shape
-    if rest >= 16 or lead * rest <= 32 * width:
-        return pay.max(axis=1, keepdims=True)
-    best = pay[:, :1].copy()
-    for k in range(1, width):
-        np.maximum(best, pay[:, k:k + 1], out=best)
-    return best
 
 
 def select(values: list[float], criterion: str) -> float:

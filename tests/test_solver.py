@@ -270,17 +270,6 @@ def test_scan_matches_brute_force_on_random_games(case):
         assert es.scanned == min(budget, total)
 
 
-@pytest.mark.parametrize("shape", [(1, 31, 1), (7, 5, 20), (200, 3, 2), (64, 2, 15),
-                                   (1000, 1, 4)])
-def test_middle_max_equals_numpy_max(shape):
-    # the small lattices above all take numpy's reduction; long leading and
-    # short trailing axes take the slice-by-slice maximum
-    pay = np.random.default_rng(3).normal(size=shape).round(2)
-    best = solver._middle_max(pay)
-    assert best.tobytes() == pay.max(axis=1, keepdims=True).tobytes()
-    assert best.shape == (shape[0], 1, shape[2])
-
-
 @pytest.mark.parametrize("allowed,match", [
     ([[0, 1], [-1, 0, 1]], "bidder 1"),
     ([[2, 1, 0], [0, 1]], "bidder 0"),
