@@ -12,9 +12,12 @@ instead of being dropped.
 
 Outputs are deterministic functions of (config, seed): per-instance JSON
 artifacts, one summary CSV per distribution, and one relation matrix per
-(distribution, metric) in CSV and markdown form.  Every JSON file is written
-by :func:`_dumps`: 2-space indented, keys sorted, the same bytes as
-``json.dumps(..., indent=2, sort_keys=True)``, plus a closing newline.
+(distribution, metric) in CSV and markdown form.  Records are written as they
+arrive, in instance order; of each one the run keeps only its metric
+intervals, from which the summary and the relation tables are built.  Every
+JSON file is written by :func:`_dumps`: 2-space indented, keys sorted, the
+same bytes as ``json.dumps(..., indent=2, sort_keys=True)``, plus a closing
+newline.
 """
 
 from __future__ import annotations
@@ -124,6 +127,9 @@ class ExperimentConfig:
                         f"incompatible distributions: {', '.join(bad)}")
         if not all(isinstance(v, bool) for v in (self.include_vcg, self.include_dvcg)):
             problems.append("include_vcg and include_dvcg must be true or false")
+        elif self.mechanisms and len(self.mechanisms) + len(_benchmarks(self)) < 2:
+            problems.append("relation tables need at least two columns, counting "
+                            "mechanisms and enabled VCG benchmarks")
         counts = {"n": self.n, "m": self.m, "k": self.k, "instances": self.instances,
                   "resamples": self.resamples, "seed": self.seed, "budget": self.budget}
         not_int = [key for key, value in counts.items() if not _is_int(value)]
@@ -153,6 +159,12 @@ class ExperimentConfig:
 
 def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _benchmarks(cfg: ExperimentConfig) -> list[str]:
+    """The enabled VCG benchmark columns, in table order."""
+    return [label for label, on in (("vcg", cfg.include_vcg), ("dvcg", cfg.include_dvcg))
+            if on]
 
 
 PROFILES = {
@@ -204,6 +216,15 @@ def preset_config(name: str, profile: str = "paper", **overrides) -> ExperimentC
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     doc = dict(doc)
+    for key in ("distributions", "mechanisms", "alphas"):
+        if key in doc and not isinstance(doc[key], (list, tuple)):
+            raise ValueError(f"{key} must be a list")
+    sweep = doc.get("sweep")
+    if sweep is not None:
+        if not (isinstance(sweep, (list, tuple)) and len(sweep) == 2
+                and isinstance(sweep[1], (list, tuple))):
+            raise ValueError("sweep must be a [param, values] pair with a list of values")
+        doc["sweep"] = (sweep[0], list(sweep[1]))
     profile = doc.pop("profile", "paper")
     preset = doc.pop("preset", None)
     mechs = doc.pop("mechanisms", None)
@@ -213,8 +234,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         cfg.mechanisms = [
             MechanismConfig.named(m) if isinstance(m, str)
             else MechanismConfig(**m) for m in mechs]
-    if "sweep" in doc and doc["sweep"] is not None:
-        doc["sweep"] = (doc["sweep"][0], list(doc["sweep"][1]))
     for key, value in doc.items():
         if not hasattr(cfg, key):
             raise ValueError(f"unknown config field {key!r}")
@@ -268,15 +287,10 @@ def run_instance(cfg: ExperimentConfig, dist_name: str, dist_index: int,
     metric_names = list(BASE_METRICS) + ([] if isinstance(setting, GimSetting) else ["envy"])
     record["metrics_defined"] = metric_names
 
-    if cfg.include_vcg or cfg.include_dvcg:
-        record["vcg"] = {}
-        for label, disc in (("vcg", None), ("dvcg", k)):
-            if (label == "vcg" and not cfg.include_vcg) or \
-               (label == "dvcg" and not cfg.include_dvcg):
-                continue
-            outcome = vcg(setting, discretize=disc)
-            mv = metrics_mod.metric_vector(outcome, setting, max_w, max_c)
-            record["vcg"][label] = {name: mv.get(name) for name in metric_names}
+    for label in _benchmarks(cfg):
+        outcome = vcg(setting, discretize=k if label == "dvcg" else None)
+        mv = metrics_mod.metric_vector(outcome, setting, max_w, max_c)
+        record.setdefault("vcg", {})[label] = {name: mv.get(name) for name in metric_names}
 
     record["mechanisms"] = {}
     for mc in cfg.mechanisms:
@@ -367,67 +381,45 @@ def _fmt(x: float) -> str:
     return format(float(x), ".10g")
 
 
-def _summary_rows(cfg: ExperimentConfig, records: list[dict],
+def _intervals(record: dict, mechanisms: list[str], benchmarks: list[str]):
+    """A good record as one (entity, metric, criterion, lower/upper) interval
+    array, the mechanisms first and then the benchmarks, and one flag per
+    mechanism: whether it has selections.  A selection is a one-point
+    interval; a cell without one enters as its provable ``bounds``."""
+    metric_names = record["metrics_defined"]
+    cells = [record["mechanisms"][label] for label in mechanisms]
+    out = np.empty((len(cells) + len(benchmarks), len(metric_names), len(CRITERIA), 2))
+    for e, cell in enumerate(cells):
+        for j, metric in enumerate(metric_names):
+            if "selections" in cell:
+                out[e, j] = [[cell["selections"][metric][crit]] for crit in CRITERIA]
+            else:
+                out[e, j] = cell["bounds"][metric]
+    for e, label in enumerate(benchmarks, len(cells)):
+        values = [record["vcg"][label][metric] for metric in metric_names]
+        out[e] = np.array(values)[:, None, None]
+    return out, ["selections" in cell for cell in cells]
+
+
+def _summary_rows(labels: list[str], intervals: np.ndarray, selected: np.ndarray,
                   metric_names: list[str]) -> list[dict]:
+    """Mean and std of each column's selections; ``selected`` is (N, mechanism)
+    and the benchmark columns after the mechanisms count every instance."""
     rows = []
-    for mc in cfg.mechanisms:
-        cells = [r["mechanisms"][mc.label] for r in records]
-        usable = ["selections" in c for c in cells]
-        count = sum(usable)
-        for metric in metric_names:
-            row = {"mechanism": mc.label, "metric": metric, "n": count}
-            for crit in CRITERIA:
-                vals = [c["selections"][metric][crit]
-                        for c, u in zip(cells, usable) if u]
-                row[crit] = (float(np.mean(vals)) if vals else float("nan"),
-                             float(np.std(vals)) if vals else float("nan"))
-            rows.append(row)
-    for label in ("vcg", "dvcg"):
-        if not records or label not in records[0].get("vcg", {}):
-            continue
-        for metric in metric_names:
-            if metric == "envy":
+    for e, label in enumerate(labels):
+        is_benchmark = e >= selected.shape[1]
+        ok = np.ones(len(intervals), bool) if is_benchmark else selected[:, e]
+        count = int(ok.sum())
+        for j, metric in enumerate(metric_names):
+            if is_benchmark and metric == "envy":
                 continue  # benchmark rows stay out of the envy comparison
-            vals = [r["vcg"][label][metric] for r in records]
-            row = {"mechanism": label, "metric": metric, "n": len(vals)}
-            for crit in CRITERIA:
-                row[crit] = (float(np.mean(vals)), float(np.std(vals)))
+            row = {"mechanism": label, "metric": metric, "n": count}
+            for c, crit in enumerate(CRITERIA):
+                vals = intervals[ok, e, j, c, 0]
+                row[crit] = (float(np.mean(vals)) if count else float("nan"),
+                             float(np.std(vals)) if count else float("nan"))
             rows.append(row)
     return rows
-
-
-def _entity_intervals(records: list[dict], label: str, metric: str,
-                      is_benchmark: bool) -> np.ndarray:
-    """(N, 3, 2) interval array for one mechanism or benchmark column."""
-    out = np.zeros((len(records), 3, 2))
-    for r_idx, record in enumerate(records):
-        if is_benchmark:
-            value = record["vcg"][label][metric]
-            out[r_idx, :, :] = value
-            continue
-        cell = record["mechanisms"][label]
-        if cell.get("selections"):
-            for c_idx, crit in enumerate(CRITERIA):
-                out[r_idx, c_idx, :] = cell["selections"][metric][crit]
-        else:
-            lo, hi = cell["bounds"][metric]
-            out[r_idx, :, 0] = lo
-            out[r_idx, :, 1] = hi
-    return out
-
-
-def relation_table(cfg: ExperimentConfig, records: list[dict], metric: str,
-                   entities: list[tuple[str, bool]], num_tests: int,
-                   rng: np.random.Generator) -> dict[tuple[str, str], PairRelation]:
-    alphas = tuple(bonferroni(a, num_tests) for a in cfg.alphas)
-    data = {label: _entity_intervals(records, label, metric, bench)
-            for label, bench in entities}
-    out = {}
-    for i, (la, _) in enumerate(entities):
-        for lb, _ in entities[i + 1:]:
-            out[(la, lb)] = classify_pair(data[la], data[lb], alphas=alphas,
-                                          resamples=cfg.resamples, rng=rng)
-    return out
 
 
 def _write_summary_csv(path: str, rows: list[dict]) -> None:
@@ -445,7 +437,7 @@ def _write_summary_csv(path: str, rows: list[dict]) -> None:
 
 def _write_relations(base: str, metric: str, labels: list[str],
                      relations: dict[tuple[str, str], PairRelation],
-                     num_tests: int, alphas) -> None:
+                     num_tests: int, alphas, adjusted) -> None:
     csv_lines = ["metric,mechanism_a,mechanism_b,kind,direction,stars,symbol"]
     for (la, lb), rel in relations.items():
         csv_lines.append(",".join([metric, la, lb, rel.kind, str(rel.direction),
@@ -453,7 +445,6 @@ def _write_relations(base: str, metric: str, labels: list[str],
     with open(base + ".csv", "w") as fh:
         fh.write("\n".join(csv_lines) + "\n")
 
-    adjusted = [bonferroni(a, num_tests) for a in alphas]
     md = [f"# {metric} relations",
           "",
           f"Bonferroni: {num_tests} simultaneous tests; levels "
@@ -462,14 +453,8 @@ def _write_relations(base: str, metric: str, labels: list[str],
           "| | " + " | ".join(labels) + " |",
           "|" + "---|" * (len(labels) + 1)]
     for la in labels:
-        row = [la]
-        for lb in labels:
-            if la == lb:
-                row.append("")
-            elif (la, lb) in relations:
-                row.append(relations[(la, lb)].pretty())
-            else:
-                row.append("")
+        row = [la] + [relations[(la, lb)].pretty() if (la, lb) in relations else ""
+                      for lb in labels]
         md.append("| " + " | ".join(row) + " |")
     with open(base + ".md", "w") as fh:
         fh.write("\n".join(md) + "\n")
@@ -496,10 +481,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
     _write_json(os.path.join(out_dir, "config_resolved.json"), config_to_dict(cfg))
 
     report = RunReport(out_dir)
-    sweep_cells = [(None, None)]
+    sweep_cells = [(out_dir, {})]
     if cfg.sweep is not None:
         param, values = cfg.sweep
-        sweep_cells = [(param, v) for v in values]
+        sweep_cells = [(os.path.join(out_dir, f"{param}={v}"), {param: v}) for v in values]
+    mechanisms = [mc.label for mc in cfg.mechanisms]
+    benchmarks = _benchmarks(cfg)
+    labels = mechanisms + benchmarks
 
     # one pool serves every cell; a single worker runs in this process
     workers = min(jobs, cfg.instances)
@@ -508,62 +496,54 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
         if workers > 1:
             import multiprocessing
 
-            run_all = stack.enter_context(multiprocessing.Pool(workers)).map
-        for param, value in sweep_cells:
-            n, m, k = cfg.n, cfg.m, cfg.k
-            cell_dir = out_dir
-            if param is not None:
-                n, m, k = {"n": (value, m, k), "m": (n, value, k),
-                           "k": (n, m, value)}[param]
-                cell_dir = os.path.join(out_dir, f"{param}={value}")
-                os.makedirs(cell_dir, exist_ok=True)
+            run_all = stack.enter_context(multiprocessing.Pool(workers)).imap
+        for cell_dir, params in sweep_cells:
+            n, m, k = (params.get(key, getattr(cfg, key)) for key in ("n", "m", "k"))
             for dist_index, dist_name in enumerate(cfg.distributions):
                 started = time.perf_counter()
                 ddir = os.path.join(cell_dir, dist_name)
                 os.makedirs(os.path.join(ddir, "instances"), exist_ok=True)
-                tasks = [(cfg, dist_name, dist_index, i, n, m, k)
-                         for i in range(cfg.instances)]
-                records = list(run_all(_run_instance_task, tasks))
-                for record in records:
+                tasks = ((cfg, dist_name, dist_index, i, n, m, k)
+                         for i in range(cfg.instances))
+                # each record is written as it arrives; only its intervals stay
+                intervals, selected = [], []
+                for record in run_all(_run_instance_task, tasks):
                     _write_json(os.path.join(ddir, "instances",
                                              f"{record['instance']:04d}.json"), record)
+                    where = {"distribution": dist_name, "instance": record["instance"]}
                     if record["error"] is not None:
-                        report.failures.append({"distribution": dist_name,
-                                                "instance": record["instance"],
-                                                **record["error"]})
-                    for label, cell in record.get("mechanisms", {}).items():
-                        if "error" in cell:
-                            report.failures.append({"distribution": dist_name,
-                                                    "instance": record["instance"],
-                                                    "mechanism": label,
-                                                    **cell["error"]})
-                good = [r for r in records if r["error"] is None]
-                if not good:
+                        report.failures.append({**where, **record["error"]})
+                        continue
+                    report.failures += [{**where, "mechanism": label, **cell["error"]}
+                                        for label, cell in record["mechanisms"].items()
+                                        if "error" in cell]
+                    metric_names = record["metrics_defined"]
+                    kept, flags = _intervals(record, mechanisms, benchmarks)
+                    intervals.append(kept)
+                    selected.append(flags)
+                if not intervals:
                     continue
-                metric_names = good[0]["metrics_defined"]
+                intervals, selected = np.stack(intervals), np.array(selected)
                 _write_summary_csv(os.path.join(ddir, "summary.csv"),
-                                   _summary_rows(cfg, good, metric_names))
+                                   _summary_rows(labels, intervals, selected, metric_names))
 
-                have_bench = bool(good[0].get("vcg"))
-                bench = [(lbl, True) for lbl in ("vcg", "dvcg")
-                         if have_bench and lbl in good[0]["vcg"]]
-                num_tests = 0
-                for metric in metric_names:
-                    cols = len(cfg.mechanisms) + (len(bench) if metric != "envy" else 0)
-                    num_tests += cols * (cols - 1) // 2
-                for metric_index, metric in enumerate(metric_names):
-                    entities = [(mc.label, False) for mc in cfg.mechanisms]
-                    if metric != "envy":
-                        entities += bench
+                columns = [mechanisms if metric == "envy" else labels
+                           for metric in metric_names]
+                num_tests = sum(len(cols) * (len(cols) - 1) // 2 for cols in columns)
+                adjusted = [bonferroni(a, num_tests) for a in cfg.alphas]
+                for j, (metric, cols) in enumerate(zip(metric_names, columns)):
                     rng = np.random.default_rng(np.random.SeedSequence(
-                        entropy=(cfg.seed, 104729, dist_index, metric_index)))
-                    rels = relation_table(cfg, good, metric, entities, num_tests, rng)
+                        entropy=(cfg.seed, 104729, dist_index, j)))
+                    rels = {(cols[a], cols[b]): classify_pair(
+                                intervals[:, a, j], intervals[:, b, j], alphas=adjusted,
+                                resamples=cfg.resamples, rng=rng)
+                            for a in range(len(cols)) for b in range(a + 1, len(cols))}
                     _write_relations(os.path.join(ddir, f"relations_{metric}"), metric,
-                                     [e[0] for e in entities], rels, num_tests, cfg.alphas)
+                                     cols, rels, num_tests, cfg.alphas, adjusted)
                 if progress is not None:
-                    rate = len(records) / max(time.perf_counter() - started, 1e-9)
+                    rate = cfg.instances / max(time.perf_counter() - started, 1e-9)
                     progress(f"{cell_dir}: {dist_name} done "
-                             f"({len(good)}/{cfg.instances} instances, {rate:.2f}/s)")
+                             f"({len(intervals)}/{cfg.instances} instances, {rate:.2f}/s)")
 
     if report.failures:
         _write_json(os.path.join(out_dir, "failures.json"), report.failures)

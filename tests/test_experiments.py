@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,8 +69,8 @@ def test_pool_is_capped_at_the_task_count(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
+        def imap(self, fn, tasks):
+            return map(fn, tasks)
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     run_experiment(tiny_config(distributions=["v-uni", "eos-uni"]),
@@ -105,6 +106,121 @@ def test_outputs_exist_and_summary_counts_solved(tmp_path):
             cells = row.split(",")
             if cells[0] == label:
                 assert int(cells[2]) == solved
+
+
+def _reference_interval(record, label, metric):
+    """One column's (3, 2) interval from a record file: a benchmark value or
+    a selection as a point, else the cell's bounds."""
+    if label in ("vcg", "dvcg"):
+        return np.full((3, 2), record["vcg"][label][metric])
+    cell = record["mechanisms"][label]
+    if "selections" in cell:
+        return np.array([[cell["selections"][metric][c]] * 2
+                         for c in ("min", "median", "max")])
+    return np.tile(cell["bounds"][metric], (3, 1))
+
+
+def test_failures_are_recorded_and_tables_use_bounds(tmp_path, monkeypatch, capsys):
+    # instance 2 of v-uni and 5 of eos-uni fail to sample, every eos ugsp
+    # solve fails, and the budget cuts some games of both
+    real_sample, real_encode = experiments.sample_setting, experiments.encode
+    real_classify = experiments.classify_pair
+
+    def failing_sample(spec, n, m, rng):
+        _seed, dist_index, instance = rng.bit_generator.seed_seq.entropy
+        if instance == 2 + 3 * dist_index:
+            raise RuntimeError("injected sample failure")
+        return real_sample(spec, n, m, rng=rng)
+
+    def failing_encode(setting, mech):
+        if mech.weight_rule == "unit" and setting.model_kind == "eos":
+            raise RuntimeError("injected solve failure")
+        return real_encode(setting, mech)
+
+    calls = []
+
+    def recording_classify(a, b, **kwargs):
+        calls.append((np.array(a), np.array(b)))
+        return real_classify(a, b, **kwargs)
+
+    monkeypatch.setattr(experiments, "sample_setting", failing_sample)
+    monkeypatch.setattr(experiments, "encode", failing_encode)
+    monkeypatch.setattr(experiments, "classify_pair", recording_classify)
+    fields = dict(distributions=["v-uni", "eos-uni"], instances=6, budget=40)
+    report = run_experiment(tiny_config(**fields), tmp_path / "api")
+
+    sample = {"stage": "sample", "reason": "injected sample failure"}
+    solve = {"mechanism": "ugsp", "stage": "solve", "reason": "injected solve failure"}
+    expected = ([{"distribution": "v-uni", "instance": 2, **sample}]
+                + [{"distribution": "eos-uni", "instance": i, **solve} for i in range(5)]
+                + [{"distribution": "eos-uni", "instance": 5, **sample}])
+    assert report.failures == expected
+    assert json.loads((tmp_path / "api" / "failures.json").read_text()) == expected
+
+    expected_calls, kinds = [], set()
+    for dist in fields["distributions"]:
+        ddir = tmp_path / "api" / dist
+        records = [json.loads((ddir / "instances" / f"{i:04d}.json").read_text())
+                   for i in range(6)]
+        good = [r for r in records if r["error"] is None]
+        assert len(good) == 5
+        for r in good:
+            kinds.update("selections" if "selections" in c else
+                         "error" if "error" in c else "unsolved" if not c["solved"]
+                         else "none" for c in r["mechanisms"].values())
+        counts = {label: sum("selections" in r["mechanisms"][label] for r in good)
+                  for label in ("ugsp", "wgsp")}
+        counts.update(vcg=len(good), dvcg=len(good))
+        rows = [line.split(",") for line in
+                (ddir / "summary.csv").read_text().splitlines()[1:]]
+        assert rows and all(int(row[2]) == counts[row[0]] for row in rows)
+        if dist == "eos-uni":
+            assert [row[3:] for row in rows if row[0] == "ugsp"] == [["nan"] * 6] * 4
+        for metric in good[0]["metrics_defined"]:
+            cols = ["ugsp", "wgsp"] + ([] if metric == "envy" else ["vcg", "dvcg"])
+            for a, la in enumerate(cols):
+                for lb in cols[a + 1:]:
+                    expected_calls.append(tuple(
+                        np.array([_reference_interval(r, label, metric) for r in good])
+                        for label in (la, lb)))
+    assert kinds == {"selections", "error", "unsolved"}
+    assert len(calls) == len(expected_calls)
+    for got, want in zip(calls, expected_calls):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config_to_dict(tiny_config(**fields)),
+                               "mechanisms": ["ugsp", "wgsp"]}))
+    capsys.readouterr()
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "cli"),
+                     "--quiet"]) == 3
+    assert capsys.readouterr().err == (f"7 instance failure(s) recorded in "
+                                       f"{tmp_path / 'cli'}/failures.json\n")
+    assert _tree_bytes(tmp_path / "cli") == _tree_bytes(tmp_path / "api")
+
+
+def test_run_holds_no_record_once_written(tmp_path, monkeypatch):
+    # a run keeps only each record's intervals: with records padded by a
+    # 1.6 MB list each, the peak of 40 instances stays that of 10.  (A list
+    # of distinct ints would cost 0.6 s a record to encode under tracemalloc.)
+    real = experiments.run_instance
+
+    def padded(*args):
+        record = real(*args)
+        record["padding"] = [None] * 200_000
+        return record
+
+    monkeypatch.setattr(experiments, "run_instance", padded)
+    peaks = []
+    for instances in (10, 40):
+        tracemalloc.start()
+        try:
+            run_experiment(tiny_config(instances=instances, n=2, m=2, k=3),
+                           tmp_path / str(instances))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
 
 def test_reduced_main_preset_covers_all_13_distributions(tmp_path):
@@ -145,6 +261,11 @@ def test_config_validation_errors():
     assert cfg.validate() == ["distribution 'v-uni' is listed more than once"]
     cfg = tiny_config(mechanisms=[MechanismConfig.named("cwgsp")])
     assert any("continuation" in p for p in cfg.validate())
+    one = [MechanismConfig.named("wgsp")]
+    assert tiny_config(mechanisms=one, include_vcg=False, include_dvcg=False).validate() == [
+        "relation tables need at least two columns, counting mechanisms and enabled "
+        "VCG benchmarks"]
+    assert tiny_config(mechanisms=one, include_dvcg=False).validate() == []
     with pytest.raises(ValueError):
         run_experiment(cfg, "/tmp/never-used")
     for resamples in (0, -5):
@@ -417,7 +538,7 @@ def test_cli_error_paths(tmp_path, capsys):
     assert cli_main(["run", "--config", str(cfg), "--out",
                      str(tmp_path / "o"), "--quiet"]) == 2
     for doc in ({"resamples": 200.0}, {"instances": 2.0}, {"seed": 1.5},
-                {"budget": -1}, {"seed": -3}, {"sweep": ["k", 5]},
+                {"budget": -1}, {"seed": -3},
                 {"distributions": ["v-uni", "v-uni"]},
                 {"mechanisms": [{"label": "x", "bogus": 1}]},
                 {"mechanisms": [{"label": "x", "family": "gps"}]},
@@ -427,7 +548,17 @@ def test_cli_error_paths(tmp_path, capsys):
         assert cli_main(["run", "--config", str(cfg), "--out",
                          str(tmp_path / "o"), "--quiet"]) == 2
         assert "config error" in capsys.readouterr().err
+    sweep_shape = "sweep must be a [param, values] pair with a list of values"
     for doc, message in (({"mechanisms": ["gsp"]}, "unknown mechanism 'gsp'"),
+                         ({"mechanisms": ["wgsp"], "include_vcg": False,
+                           "include_dvcg": False},
+                          "relation tables need at least two columns, counting "
+                          "mechanisms and enabled VCG benchmarks"),
+                         ({"mechanisms": "wgsp"}, "mechanisms must be a list"),
+                         ({"distributions": "v-ln"}, "distributions must be a list"),
+                         ({"alphas": 0.05}, "alphas must be a list"),
+                         ({"sweep": ["n"]}, sweep_shape), ({"sweep": "k"}, sweep_shape),
+                         ({"sweep": ["k", 5]}, sweep_shape),
                          ({"profile": "huge"}, "unknown profile 'huge'"),
                          ({"preset": "huge"}, "unknown preset 'huge'")):
         cfg.write_text(json.dumps({"distributions": ["v-uni"], "mechanisms": ["gfp"],
