@@ -53,14 +53,15 @@ def _load_config(args) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"{args.config} must hold a JSON object of config fields")
     if args.preset:
         doc["preset"] = args.preset
     if "profile" not in doc:
         doc["profile"] = args.profile
-    cfg = config_from_dict(doc)
     if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
+        doc["seed"] = args.seed
+    return config_from_dict(doc)
 
 
 def main(argv=None) -> int:
@@ -86,7 +87,7 @@ def main(argv=None) -> int:
             for p in problems:
                 print(f"config error: {p}", file=sys.stderr)
             return 2
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -387,7 +387,8 @@ def _gim_utilities(setting: GimSetting, i: int, mech: MechanismSpec,
         if paid is None:
             util[1:, :, 0] = fixed
         else:
-            util[1:] = np.where(bottom[:, None], weight[:, None] * paid, fixed[..., None])
+            util[1:] = fixed[..., None]
+            util[1:, bottom] = weight[bottom, None] * paid
         return util
 
     full, ahead, prob, spans, rows = _lottery_plan(r_count, mech.gim_tie_lottery)

@@ -100,6 +100,7 @@ class ExperimentConfig:
     sweep: tuple[str, list[int]] | None = None  # ("k"|"n"|"m", values)
 
     def validate(self) -> list[str]:
+        """Every problem of the config, one message each; it never raises."""
         problems = []
         if not self.distributions:
             problems.append("no distributions configured")
@@ -111,7 +112,9 @@ class ExperimentConfig:
         if not self.mechanisms:
             problems.append("no mechanisms configured")
         labels = [mc.label for mc in self.mechanisms]
-        if len(set(labels)) != len(labels):
+        if not_str := [label for label in labels if not isinstance(label, str)]:
+            problems.append(f"mechanism labels must be strings, not {not_str}")
+        elif len(set(labels)) != len(labels):
             problems.append("mechanism labels must be unique")
         for mc in self.mechanisms:
             try:
@@ -119,17 +122,20 @@ class ExperimentConfig:
             except (TypeError, ValueError) as exc:
                 problems.append(f"mechanism {mc.label!r}: {exc}")
             if mc.weight_rule == "cascade":
-                bad = [d for d in self.distributions
-                       if not d.startswith(("cascade", "hybrid"))]
+                bad = [d for d in self.distributions if d in DISTRIBUTION_NAMES
+                       and not d.startswith(("cascade", "hybrid"))]
                 if bad:
                     problems.append(
                         f"mechanism {mc.label!r} needs continuation probabilities; "
                         f"incompatible distributions: {', '.join(bad)}")
         if not all(isinstance(v, bool) for v in (self.include_vcg, self.include_dvcg)):
             problems.append("include_vcg and include_dvcg must be true or false")
-        elif self.mechanisms and len(self.mechanisms) + len(_benchmarks(self)) < 2:
-            problems.append("relation tables need at least two columns, counting "
-                            "mechanisms and enabled VCG benchmarks")
+        else:
+            problems += [f"mechanism label {label!r} is taken by the enabled {label} benchmark"
+                         for label in _benchmarks(self) if label in labels]
+            if self.mechanisms and len(self.mechanisms) + len(_benchmarks(self)) < 2:
+                problems.append("relation tables need at least two columns, counting "
+                                "mechanisms and enabled VCG benchmarks")
         counts = {"n": self.n, "m": self.m, "k": self.k, "instances": self.instances,
                   "resamples": self.resamples, "seed": self.seed, "budget": self.budget}
         not_int = [key for key, value in counts.items() if not _is_int(value)]
@@ -150,7 +156,8 @@ class ExperimentConfig:
                 problems.append("sweep values must be integers of at least 1")
             elif not values or len(set(values)) != len(values):
                 problems.append("sweep values must be a non-empty list of distinct values")
-        if not self.alphas or not all(0.0 < a <= 1.0 for a in self.alphas):
+        if not self.alphas or not all(isinstance(a, (int, float)) and not isinstance(a, bool)
+                                      and 0.0 < a <= 1.0 for a in self.alphas):
             problems.append("alphas must be significance levels in (0, 1]")
         elif any(a <= b for a, b in zip(self.alphas, self.alphas[1:])):
             problems.append("alphas must be strictly decreasing, loosest first")
@@ -200,50 +207,53 @@ PRESETS = {
 }
 
 
-def preset_config(name: str, profile: str = "paper", **overrides) -> ExperimentConfig:
-    """The named experiment presets, at paper scale unless a profile or
-    explicit overrides shrink them."""
-    if name not in PRESETS:
+def preset_config(name: str | None, profile: str = "paper", **overrides) -> ExperimentConfig:
+    """The named preset (None: the main defaults under no preset name) at
+    paper scale unless a profile or the overrides, which must name config
+    fields, shrink it."""
+    if name is not None and not (isinstance(name, str) and name in PRESETS):
         raise ValueError(f"unknown preset {name!r}")
-    if profile not in PROFILES:
+    if not (isinstance(profile, str) and profile in PROFILES):
         raise ValueError(f"unknown profile {profile!r}")
+    if unknown := [key for key in overrides if key not in ExperimentConfig.__dataclass_fields__]:
+        raise ValueError(f"unknown config field {unknown[0]!r}")
     # a deep copy, so a caller that edits a config's lists leaves the table be
-    cfg = ExperimentConfig(preset=name, **copy.deepcopy(PRESETS[name]))
-    for key, value in {**PROFILES[profile], **overrides}.items():
-        setattr(cfg, key, value)
-    return cfg
+    preset = copy.deepcopy(PRESETS[name]) if name is not None else {}
+    return ExperimentConfig(**{"preset": name, **preset, **PROFILES[profile], **overrides})
+
+
+def _mechanism(index: int, entry) -> MechanismConfig:
+    """``mechanisms[index]`` of a JSON config."""
+    if isinstance(entry, str):
+        return MechanismConfig.named(entry)
+    if (isinstance(entry, dict) and "label" in entry
+            and entry.keys() <= MechanismConfig.__dataclass_fields__.keys()):
+        return MechanismConfig(**entry)
+    raise ValueError(f"mechanisms[{index}] must be a mechanism name or an object of "
+                     f"MechanismConfig fields with a label, not {entry!r}")
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    doc = dict(doc)
+    """The config of a JSON document: its list and pair forms converted, and
+    every field passed to :func:`preset_config`."""
+    fields = dict(doc)
     for key in ("distributions", "mechanisms", "alphas"):
-        if key in doc and not isinstance(doc[key], (list, tuple)):
+        if key in fields and not isinstance(fields[key], (list, tuple)):
             raise ValueError(f"{key} must be a list")
-    sweep = doc.get("sweep")
-    if sweep is not None:
+    if (sweep := fields.get("sweep")) is not None:
         if not (isinstance(sweep, (list, tuple)) and len(sweep) == 2
                 and isinstance(sweep[1], (list, tuple))):
             raise ValueError("sweep must be a [param, values] pair with a list of values")
-        doc["sweep"] = (sweep[0], list(sweep[1]))
-    profile = doc.pop("profile", "paper")
-    preset = doc.pop("preset", None)
-    mechs = doc.pop("mechanisms", None)
-    cfg = preset_config(preset or "main", profile=profile)
-    cfg.preset = preset or None
-    if mechs is not None:
-        cfg.mechanisms = [
-            MechanismConfig.named(m) if isinstance(m, str)
-            else MechanismConfig(**m) for m in mechs]
-    for key, value in doc.items():
-        if not hasattr(cfg, key):
-            raise ValueError(f"unknown config field {key!r}")
-        setattr(cfg, key, tuple(value) if key == "alphas" else value)
-    return cfg
+        fields["sweep"] = (sweep[0], list(sweep[1]))
+    if "mechanisms" in fields:
+        fields["mechanisms"] = [_mechanism(i, m) for i, m in enumerate(fields["mechanisms"])]
+    if "alphas" in fields:
+        fields["alphas"] = tuple(fields["alphas"])
+    return preset_config(fields.pop("preset", None), fields.pop("profile", "paper"), **fields)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    doc = dataclasses.asdict(cfg)
-    doc["mechanisms"] = [dataclasses.asdict(m) for m in cfg.mechanisms]
+    doc = dataclasses.asdict(cfg)  # the mechanisms too, as dicts
     if cfg.sweep is not None:
         doc["sweep"] = [cfg.sweep[0], list(cfg.sweep[1])]
     return doc

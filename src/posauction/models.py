@@ -144,7 +144,7 @@ class GimSetting:
     Bidder i shown below the bidders in set S receives a click with
     probability ``qualities[i] * f_i(S)``.  ``externality[i]`` stores f_i
     densely over the 2^(n-1) subsets of the rivals of i; bit b of the index
-    refers to the b-th rival of i in ascending bidder order.
+    refers to the b-th rival of i in ascending bidder order (``rank_mask``).
     """
 
     model_kind: str
@@ -166,30 +166,15 @@ class GimSetting:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def rivals(self, i: int) -> list[int]:
-        return [j for j in range(self.n) if j != i]
-
-    def rival_mask(self, i: int, above: Iterable[int]) -> int:
-        """The rival-rank bitmask of the bidder ids ``above``, which indexes
-        ``externality[i]``."""
-        ids = set(above)
-        return sum(1 << rank for rank, j in enumerate(self.rivals(i)) if j in ids)
-
     @cached_property
     def _factor_table(self) -> list[list[float]]:
         """``externality_factor`` by bidder and bidder-id bitmask."""
         ids = np.arange(1 << self.n)
-        table = []
-        for i in range(self.n):
-            rank_mask = np.zeros_like(ids)
-            for rank, j in enumerate(self.rivals(i)):
-                rank_mask |= (ids >> j & 1) << rank
-            table.append(self.externality[i][rank_mask].tolist())
-        return table
+        return [self.externality[i][rank_mask(i, ids)].tolist() for i in range(self.n)]
 
     def externality_factor(self, i: int, above: Iterable[int]) -> float:
         """f_i of the bidder ids in ``above``; i itself and ids outside
-        0..n-1 are ignored, as in ``rival_mask``."""
+        0..n-1 are ignored."""
         mask = 0
         for j in above:
             mask |= 1 << j
@@ -218,13 +203,18 @@ class GimSetting:
 Setting = AuctionSetting | GimSetting
 
 
+def rank_mask(i: int, ids):
+    """The rival-rank bitmask of the bidder-id bitmask ``ids`` (an int or an
+    int array), which indexes ``externality[i]``: rival j has rank
+    j - (j > i), and bit i is dropped."""
+    return (ids & ((1 << i) - 1)) | (ids >> (i + 1) << i)
+
+
 def _rank_externality(entries, n: int) -> np.ndarray:
     ext = np.ones((n, 1 << (n - 1)))
     for i, entry in enumerate(entries):
-        rivals = [j for j in range(n) if j != i]
         for key, value in entry.items():  # bidder-id mask -> rival-rank mask
-            ids = int(key)
-            ext[i][sum(1 << rank for rank, j in enumerate(rivals) if ids >> j & 1)] = value
+            ext[i][rank_mask(i, int(key))] = value
     return ext
 
 
@@ -363,10 +353,9 @@ def _dense_externality(n: int, factor) -> np.ndarray:
     """Fill the (n, 2^(n-1)) table from ``factor(i, rival_ids) -> float``."""
     ext = np.ones((n, 1 << max(n - 1, 0)))
     for i in range(n):
-        rivals = [j for j in range(n) if j != i]
-        for mask in range(1 << (n - 1)):
-            ids = [rivals[r] for r in range(n - 1) if mask >> r & 1]
-            ext[i][mask] = factor(i, ids)
+        for ids in range(1 << n):
+            if not ids >> i & 1:
+                ext[i][rank_mask(i, ids)] = factor(i, [j for j in range(n) if ids >> j & 1])
     return ext
 
 
@@ -552,25 +541,23 @@ def _check_externality_form(s: GimSetting) -> list[str]:
     n = s.n
     cont = s.continuation
     for i in range(n):
-        rivals = s.rivals(i)
-        for mask in range(1 << (n - 1)):
+        first = {}  # hybrid: the first rival set of each size, by bidder-id mask
+        for ids in range(1 << n):
+            if ids >> i & 1:
+                continue
             prod = 1.0
-            for r in range(n - 1):
-                if mask >> r & 1:
-                    prod *= cont[rivals[r]]
+            for j in range(n):
+                if ids >> j & 1:
+                    prod *= cont[j]
+            f = s.externality[i][rank_mask(i, ids)]
             if s.model_kind == "cascade":
                 expect = prod
             else:
-                size = bin(mask).count("1")
                 # hybrid: f depends on |S| through one shared factor, so only
                 # check that f / prod(cont) is a function of the set size
-                ref_mask = (1 << size) - 1
-                ref_prod = 1.0
-                for r in range(size):
-                    ref_prod *= cont[rivals[r]]
-                expect = (s.externality[i][ref_mask] / ref_prod * prod
-                          if ref_prod > 0 else s.externality[i][mask])
-            if abs(s.externality[i][mask] - expect) > 1e-9:
+                ref_f, ref_prod = first.setdefault(bin(ids).count("1"), (f, prod))
+                expect = ref_f / ref_prod * prod if ref_prod > 0 else f
+            if abs(f - expect) > 1e-9:
                 return [f"{s.model_kind}: externality of bidder {i} does not match "
                         "its continuation probabilities"]
     return []

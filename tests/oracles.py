@@ -105,7 +105,7 @@ def gim_cell(setting: GimSetting, i: int, k: int, tied: int, above: int,
              bottom_price: float, mech: MechanismSpec, lex: bool) -> float:
     """Expected utility of bidder i bidding k with the given rival masks,
     one lottery term at a time."""
-    rivals = setting.rivals(i)
+    rivals = [j for j in range(setting.n) if j != i]
     tied_ranks = [r for r in range(len(rivals)) if tied >> r & 1]
     ell = len(tied_ranks)
     q = float(setting.qualities[i])

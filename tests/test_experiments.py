@@ -296,6 +296,22 @@ def test_config_validation_errors():
                 dict(gim_tie_lottery="draw")):
         problems = tiny_config(mechanisms=[MechanismConfig(label="x", **bad)]).validate()
         assert any(p.startswith("mechanism 'x': ") for p in problems)
+    # JSON-shaped values of the wrong type are named, never raised
+    wgsp, cwgsp = MechanismConfig.named("wgsp"), MechanismConfig.named("cwgsp")
+    assert tiny_config(distributions=[1], mechanisms=[wgsp, cwgsp]).validate() == [
+        "unknown distribution 1"]
+    assert tiny_config(mechanisms=[MechanismConfig(label=["a"]), wgsp]).validate() == [
+        "mechanism labels must be strings, not [['a']]"]
+    for alphas in (("x",), (None,), (True,)):
+        assert tiny_config(alphas=alphas).validate() == [
+            "alphas must be significance levels in (0, 1]"]
+    for label, field in (("vcg", "include_vcg"), ("dvcg", "include_dvcg")):
+        mechanisms = [wgsp, MechanismConfig(label=label)]
+        assert tiny_config(mechanisms=mechanisms).validate() == [
+            f"mechanism label {label!r} is taken by the enabled {label} benchmark"]
+        assert tiny_config(mechanisms=mechanisms, **{field: False}).validate() == []
+    with pytest.raises(ValueError, match="^unknown config field 'instancse'$"):
+        preset_config("main", "desk", instancse=3)
 
 
 def test_zero_resamples_rejected_before_any_instance_runs(tmp_path):
@@ -549,6 +565,8 @@ def test_cli_error_paths(tmp_path, capsys):
                          str(tmp_path / "o"), "--quiet"]) == 2
         assert "config error" in capsys.readouterr().err
     sweep_shape = "sweep must be a [param, values] pair with a list of values"
+    mech_msg = ("must be a mechanism name or an object of MechanismConfig fields with a "
+                "label, not ")
     for doc, message in (({"mechanisms": ["gsp"]}, "unknown mechanism 'gsp'"),
                          ({"mechanisms": ["wgsp"], "include_vcg": False,
                            "include_dvcg": False},
@@ -560,12 +578,39 @@ def test_cli_error_paths(tmp_path, capsys):
                          ({"sweep": ["n"]}, sweep_shape), ({"sweep": "k"}, sweep_shape),
                          ({"sweep": ["k", 5]}, sweep_shape),
                          ({"profile": "huge"}, "unknown profile 'huge'"),
-                         ({"preset": "huge"}, "unknown preset 'huge'")):
+                         ({"preset": "huge"}, "unknown preset 'huge'"),
+                         ({"preset": False}, "unknown preset False"),
+                         ({"preset": []}, "unknown preset []"),
+                         ({"preset": 0}, "unknown preset 0"),
+                         ({"preset": ""}, "unknown preset ''"),
+                         ({"instancse": 3}, "unknown config field 'instancse'"),
+                         ({"distributions": [1], "mechanisms": ["wgsp", "cwgsp"]},
+                          "unknown distribution 1"),
+                         ({"mechanisms": [{"label": ["a"]}, "gfp"]},
+                          "mechanism labels must be strings, not [['a']]"),
+                         ({"alphas": ["x"]}, "alphas must be significance levels in (0, 1]"),
+                         ({"alphas": [None]}, "alphas must be significance levels in (0, 1]"),
+                         ({"mechanisms": [5]},
+                          f"mechanisms[0] {mech_msg}5"),
+                         ({"mechanisms": ["gfp", {"family": "gsp"}]},
+                          f"mechanisms[1] {mech_msg}{{'family': 'gsp'}}"),
+                         ({"mechanisms": ["gfp", {"label": "x", "bogus": 1}]},
+                          f"mechanisms[1] {mech_msg}{{'label': 'x', 'bogus': 1}}"),
+                         ({"mechanisms": ["gfp", {"label": "vcg", "family": "gsp"}]},
+                          "mechanism label 'vcg' is taken by the enabled vcg benchmark"),
+                         ({"mechanisms": ["gfp", {"label": "dvcg"}]},
+                          "mechanism label 'dvcg' is taken by the enabled dvcg benchmark")):
         cfg.write_text(json.dumps({"distributions": ["v-uni"], "mechanisms": ["gfp"],
                                    "n": 2, "m": 2, "k": 3, **doc}))
         assert cli_main(["run", "--config", str(cfg), "--out",
                          str(tmp_path / "o"), "--quiet"]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+    for doc in ([1, 2], "x", [], 0, ""):
+        cfg.write_text(json.dumps(doc))
+        assert cli_main(["run", "--config", str(cfg), "--out",
+                         str(tmp_path / "o"), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg} must hold a JSON object of config fields\n")
     cfg.write_text(json.dumps({"distributions": ["v-uni"], "mechanisms": ["gfp"],
                                "n": 2, "m": 2, "k": 3}))
     assert cli_main(["run", "--config", str(cfg), "--jobs", "0", "--out",

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from posauction.models import (DISTRIBUTION_NAMES, AuctionSetting,
                                DegenerateSettingError, DistributionSpec,
-                               GimSetting, normalize_setting, sample_setting,
-                               setting_from_json_dict, validate_setting)
+                               GimSetting, normalize_setting, rank_mask,
+                               sample_setting, setting_from_json_dict,
+                               validate_setting)
 
 
 def rng(seed):
@@ -67,12 +68,24 @@ def test_externality_factor_equals_rival_mask_lookup(name):
     for n in (1, 3, 4):
         s = sample_setting(DistributionSpec.from_name(name), n, n, rng=rng(n))
         for i in range(n):
+            rivals = [j for j in range(n) if j != i]
             for ids in range(1 << n):
                 above = [j for j in range(n) if ids >> j & 1]
-                want = s.externality[i][s.rival_mask(i, above)]
+                rank = 0
+                for r, j in enumerate(rivals):
+                    if j in above:
+                        rank |= 1 << r
+                want = s.externality[i][rank]
                 for form in (above, tuple(above), set(above), iter(above)):
                     got = s.externality_factor(i, form)
                     assert type(got) is float and got == want
+
+
+def test_rank_mask_of_an_array_equals_rank_mask_of_each_int():
+    for n in range(1, 7):
+        ids = np.arange(1 << n)
+        for i in range(n):
+            assert rank_mask(i, ids).tolist() == [rank_mask(i, int(x)) for x in ids]
 
 
 @pytest.mark.parametrize("name", ["cascade-uni", "hybrid-uni", "gim-ln"])
