@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .experiments import (PRESETS, PROFILES, ExperimentConfig, config_from_dict,
@@ -89,6 +90,12 @@ def main(argv=None) -> int:
             return 2
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot use --out {args.out} as the output directory: "
+              f"{exc.strerror}", file=sys.stderr)
         return 2
 
     progress = None if args.quiet else (lambda msg: print(msg, file=sys.stderr))

@@ -8,7 +8,11 @@ definitions below).
 
 The welfare optimizers and VCG find no-externality allocations with an
 in-repo exact assignment solver, :func:`linear_sum_assignment`, which makes
-the same choice as SciPy's among tied optimal assignments.
+the same choice as SciPy's among tied optimal assignments.  Externality
+allocations come from one table per setting, ``GimSetting.orderings``: every
+ordered subset of at most m bidders with each placed bidder's click rate,
+enumerated once and read by :func:`max_welfare`, :func:`max_clicks` and
+:func:`vcg` alike.
 
 A bid of zero is a non-participation bid: the bidder receives no slot, pays
 nothing, and does not influence anyone else's position or price.
@@ -16,7 +20,6 @@ nothing, and does not influence anyone else's position or price.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -131,23 +134,17 @@ class Outcome:
 
     ``slot_lottery[i]`` lists the marginal lottery faced by bidder i as
     ``(position, clicks, price_per_click, probability)`` tuples, position 0
-    meaning unallocated.  VCG outcomes also fill ``payments_total`` so
-    zero-click winners keep a well-defined payment.
+    meaning unallocated.  ``welfare`` is the expected total true value of
+    the allocation, whatever the payments.  VCG outcomes also fill
+    ``payments_total`` so zero-click winners keep a well-defined payment.
     """
 
     slot_lottery: list[list[tuple[int, float, float, float]]]
     expected_utility: np.ndarray
     revenue: float
     expected_clicks: float
+    welfare: float
     payments_total: np.ndarray | None = None
-
-
-def _value_at(setting: Setting, i: int, pos: int) -> float:
-    if pos < 1:
-        return 0.0
-    if isinstance(setting, AuctionSetting):
-        return float(setting.values[i, pos - 1])
-    return float(setting.values[i])
 
 
 def _finish_outcome(setting: Setting, lottery, payments_total=None) -> Outcome:
@@ -155,18 +152,24 @@ def _finish_outcome(setting: Setting, lottery, payments_total=None) -> Outcome:
     utility = np.zeros(n)
     revenue = 0.0
     clicks_total = 0.0
+    welfare = 0.0
+    values = setting.values.tolist()
+    per_slot = isinstance(setting, AuctionSetting)
     for i in range(n):
         gross = 0.0
         paid = 0.0
         for pos, clicks, price, prob in lottery[i]:
-            gross += prob * clicks * _value_at(setting, i, pos)
+            value = prob * clicks * (0.0 if pos < 1 else
+                                     values[i][pos - 1] if per_slot else values[i])
+            gross += value
+            welfare += value
             paid += prob * clicks * price
             clicks_total += prob * clicks
         if payments_total is not None:
             paid = float(payments_total[i])  # exact totals for VCG
         utility[i] = gross - paid
         revenue += paid
-    return Outcome(lottery, utility, float(revenue), float(clicks_total),
+    return Outcome(lottery, utility, float(revenue), float(clicks_total), welfare,
                    payments_total=payments_total)
 
 
@@ -392,36 +395,23 @@ def linear_sum_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(nr), np.array(col4row, dtype=np.intp)
 
 
-def _ordered_subsets(n: int, m: int):
-    ids = range(n)
-    for size in range(0, min(n, m) + 1):
-        for subset in itertools.permutations(ids, size):
-            yield subset
+def _assign(gain: np.ndarray) -> tuple[np.ndarray, float]:
+    """Each row's column in an assignment of largest total ``gain``, and
+    that total."""
+    row, col = linear_sum_assignment(-gain)
+    return col, float(gain[row, col].sum())
 
 
-def _ordering_contributions(setting: GimSetting, ordering, values=None) -> np.ndarray:
-    values = setting.values if values is None else values
-    out = np.zeros(setting.n)
-    above: list[int] = []
-    for i in ordering:
-        out[i] = setting.qualities[i] * setting.externality_factor(i, above) * values[i]
-        above.append(i)
-    return out
-
-
-def _ordering_welfares(setting: GimSetting, values=None) -> list[tuple[tuple, float]]:
-    """Every ordered subset of at most m bidders with its total value, in
-    enumeration order."""
-    return [(ordering, float(_ordering_contributions(setting, ordering, values).sum()))
-            for ordering in _ordered_subsets(setting.n, setting.m)]
-
-
-def _best_ordering(welfares) -> tuple[tuple, float]:
-    best, best_w = (), 0.0
-    for ordering, wsum in welfares:
+def _best_ordering(setting: GimSetting, values) -> tuple[np.ndarray, int]:
+    """Every ordering's total value under ``values``, and the first one that
+    beats every earlier one by more than 1e-15 (row 0, the empty ordering,
+    if none does)."""
+    welfare = (setting.orderings[1] * values).sum(axis=1)
+    best, best_w = 0, 0.0
+    for row, wsum in enumerate(welfare.tolist()):
         if wsum > best_w + 1e-15:
-            best, best_w = ordering, wsum
-    return best, best_w
+            best, best_w = row, wsum
+    return welfare, best
 
 
 def max_welfare(setting: Setting, values=None):
@@ -430,57 +420,34 @@ def max_welfare(setting: Setting, values=None):
     Returns (allocation, welfare): for no-externality settings the
     allocation is a bidder -> position dict from an exact assignment
     optimization; for externality settings it is the best ordered subset of
-    at most m bidders, found by enumeration.
+    at most m bidders, read off the setting's ordering table.
     """
+    v = setting.values if values is None else values
     if isinstance(setting, AuctionSetting):
-        v = setting.values if values is None else values
-        gain = setting.clicks * v
-        row, col = linear_sum_assignment(-gain)
-        alloc = {int(i): int(j) + 1 for i, j in zip(row, col)}
-        return alloc, float(gain[row, col].sum())
-    return _best_ordering(_ordering_welfares(setting, values))
+        col, total = _assign(setting.clicks * v)
+        return {i: int(j) + 1 for i, j in enumerate(col)}, total
+    welfare, best = _best_ordering(setting, v)
+    return setting.orderings[0][best], float(welfare[best])
 
 
 def max_clicks(setting: Setting) -> float:
     """Largest achievable expected click count (same search as max_welfare
-    with a click objective)."""
+    with a click objective).  An ordering's clicks are summed in its own
+    order, top slot first."""
     if isinstance(setting, AuctionSetting):
-        row, col = linear_sum_assignment(-setting.clicks)
-        return float(setting.clicks[row, col].sum())
+        return _assign(setting.clicks)[1]
+    orders, clicks, _ = setting.orderings
     best = 0.0
-    for ordering in _ordered_subsets(setting.n, setting.m):
+    for ordering, row in zip(orders, clicks.tolist()):
         total = 0.0
-        above: list[int] = []
         for i in ordering:
-            total += setting.qualities[i] * setting.externality_factor(i, above)
-            above.append(i)
+            total += row[i]
         best = max(best, total)
     return best
 
 
 # --------------------------------------------------------------------------
 # VCG benchmarks
-
-def _welfare_of_alloc(setting: Setting, alloc, values) -> np.ndarray:
-    n = setting.n
-    out = np.zeros(n)
-    if isinstance(setting, AuctionSetting):
-        for i, pos in alloc.items():
-            out[i] = setting.clicks[i, pos - 1] * values[i, pos - 1]
-    else:
-        out = _ordering_contributions(setting, alloc, values)
-    return out
-
-
-def _max_welfare_without(setting: AuctionSetting, skip: int, values) -> float:
-    """Best total value of a no-externality setting with bidder ``skip``
-    left out.  :func:`vcg` takes an externality setting's from the one
-    enumeration it already made."""
-    keep = [i for i in range(setting.n) if i != skip]
-    gain = (setting.clicks * values)[keep]
-    row, col = linear_sum_assignment(-gain)
-    return float(gain[row, col].sum())
-
 
 def _grid_values(setting: Setting, k_max: int) -> np.ndarray:
     """Nearest-grid (half-up) reports of the true values."""
@@ -495,37 +462,28 @@ def vcg(setting: Setting, discretize: int | None = None) -> Outcome:
     on those reports; utilities are always computed against true values.
     """
     reports = setting.values if discretize is None else _grid_values(setting, discretize)
+    n = setting.n
     if isinstance(setting, AuctionSetting):
-        alloc, _ = max_welfare(setting, values=reports)
-        positions = dict(alloc)
-        others_best = {i: _max_welfare_without(setting, i, reports) for i in positions}
+        gain = setting.clicks * reports
+        col, _ = _assign(gain)
+        positions = {i: int(j) + 1 for i, j in enumerate(col)}
+        others_best = {i: _assign(np.delete(gain, i, axis=0))[1] for i in positions}
+        clicks, contrib = setting.clicks[range(n), col], gain[range(n), col]
     else:
-        welfares = _ordering_welfares(setting, reports)
-        alloc, _ = _best_ordering(welfares)
-        positions = {i: pos + 1 for pos, i in enumerate(alloc)}
-        others_best = {i: max([0.0] + [w for ordering, w in welfares if i not in ordering])
+        orders, table, placed = setting.orderings
+        welfare, best = _best_ordering(setting, reports)
+        positions = {i: pos + 1 for pos, i in enumerate(orders[best])}
+        others_best = {i: float(welfare.max(initial=0.0, where=~placed[:, i]))
                        for i in positions}
-    contrib = _welfare_of_alloc(setting, alloc, reports)
+        clicks = table[best]
+        contrib = clicks * reports
     total_reported = float(contrib.sum())
 
-    n = setting.n
     payments = np.zeros(n)
     for i in positions:
         payments[i] = others_best[i] - (total_reported - contrib[i])
 
-    lottery: list[list[tuple[int, float, float, float]]] = []
-    for i in range(n):
-        if i not in positions:
-            lottery.append([(0, 0.0, 0.0, 1.0)])
-            continue
-        pos = positions[i]
-        if isinstance(setting, AuctionSetting):
-            clicks = _clicks_no_ext(setting, i, pos)
-        else:
-            above = [j for j in alloc[:pos - 1]]
-            clicks = (setting.qualities[i] * setting.externality_factor(i, above)
-                      if pos <= setting.m else 0.0)
-        price = payments[i] / clicks if clicks > 0 else 0.0
-        lottery.append([(pos, float(clicks), float(price), 1.0)])
-
+    lottery = [[(positions[i], float(clicks[i]),
+                 float(payments[i] / clicks[i]) if clicks[i] > 0 else 0.0, 1.0)]
+               if i in positions else [(0, 0.0, 0.0, 1.0)] for i in range(n)]
     return _finish_outcome(setting, lottery, payments_total=payments)

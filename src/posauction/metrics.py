@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mechanisms import Outcome, max_clicks, max_welfare
-from .models import AuctionSetting, GimSetting, Setting
+from .models import GimSetting, Setting
 
 
 @dataclass(frozen=True)
@@ -29,20 +29,6 @@ class MetricVector:
         return getattr(self, name)
 
 
-def outcome_welfare(outcome: Outcome, setting: Setting) -> float:
-    """Expected total bidder value of the realized allocation (true values,
-    independent of payments)."""
-    total = 0.0
-    for i in range(setting.n):
-        for pos, clicks, _price, prob in outcome.slot_lottery[i]:
-            if pos >= 1:
-                if isinstance(setting, AuctionSetting):
-                    total += prob * clicks * setting.values[i, pos - 1]
-                else:
-                    total += prob * clicks * setting.values[i]
-    return total
-
-
 def metric_vector(outcome: Outcome, setting: Setting,
                   max_welfare_value: float | None = None,
                   max_clicks_value: float | None = None) -> MetricVector:
@@ -52,10 +38,9 @@ def metric_vector(outcome: Outcome, setting: Setting,
         max_clicks_value = max_clicks(setting)
     if max_welfare_value <= 0:
         raise ValueError("degenerate instance: best achievable welfare is zero")
-    welfare = outcome_welfare(outcome, setting)
     envy = total_envy(outcome, setting, max_welfare_value=max_welfare_value)
     return MetricVector(
-        efficiency=welfare / max_welfare_value,
+        efficiency=outcome.welfare / max_welfare_value,
         revenue=outcome.revenue / max_welfare_value,
         relevance=outcome.expected_clicks / max_clicks_value if max_clicks_value > 0 else 0.0,
         envy=envy,

@@ -16,6 +16,7 @@ slot count m.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable
@@ -171,6 +172,22 @@ class GimSetting:
         """``externality_factor`` by bidder and bidder-id bitmask."""
         ids = np.arange(1 << self.n)
         return [self.externality[i][rank_mask(i, ids)].tolist() for i in range(self.n)]
+
+    @cached_property
+    def orderings(self) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+        """Every ordered subset of at most m bidders, shortest first and each
+        size in ``itertools.permutations`` order, with two (orderings x n)
+        tables: each placed bidder's click rate ``q_i * f_i(above)`` (0 for
+        the others), and which bidders are placed."""
+        orders = [ordering for size in range(min(self.n, self.m) + 1)
+                  for ordering in itertools.permutations(range(self.n), size)]
+        q = self.qualities.tolist()
+        rows = [[0.0] * self.n for _ in orders]
+        for row, ordering in zip(rows, orders):
+            for pos, i in enumerate(ordering):
+                row[i] = q[i] * self.externality_factor(i, ordering[:pos])
+        placed = [[i in ordering for i in range(self.n)] for ordering in orders]
+        return orders, np.array(rows), np.array(placed, dtype=bool)
 
     def externality_factor(self, i: int, above: Iterable[int]) -> float:
         """f_i of the bidder ids in ``above``; i itself and ids outside

@@ -9,7 +9,8 @@ which sorts every test's resample means and reads the quantiles.  The
 kernel's index arithmetic has one in :func:`table_payoffs_reference`, which
 works out each bidder's table configuration one rival at a time.  VCG on
 externality settings has one in :func:`gim_vcg_reference`, which enumerates
-the orderings afresh for every bidder it leaves out.
+the orderings afresh for every bidder it leaves out, and their click
+optimum one in :func:`gim_max_clicks_reference`.
 """
 
 import itertools
@@ -70,35 +71,55 @@ def brute_force_assignment_welfare(setting: AuctionSetting):
     return best
 
 
+def _gim_orderings(setting: GimSetting, skip=None):
+    """Every ordered subset of at most m bidders without ``skip``, each with
+    its bidders' click rates q_i * f_i(above) in slot order."""
+    n = setting.n
+    for size in range(min(n, setting.m) + 1):
+        for ordering in itertools.permutations(range(n), size):
+            if skip in ordering:
+                continue
+            yield ordering, [setting.qualities[i] * setting.externality_factor(i, ordering[:pos])
+                             for pos, i in enumerate(ordering)]
+
+
 def gim_vcg_reference(setting: GimSetting, reports):
-    """Welfare-maximizing ordering, its welfare and the Clarke payments of an
-    externality setting under ``reports``, with one fresh enumeration of
-    every ordered subset of at most m bidders per question: one for the
-    allocation and one per placed bidder for the welfare of the others.
-    Returns ``(ordering, welfare, payments)``."""
+    """Welfare-maximizing ordering, its welfare, the Clarke payments and the
+    placed bidders' click rates (in slot order) of an externality setting
+    under ``reports``, with one fresh enumeration of every ordered subset of
+    at most m bidders per question: one for the allocation and one per
+    placed bidder for the welfare of the others.  Returns ``(ordering,
+    welfare, payments, clicks)``."""
     n = setting.n
 
     def welfares(skip=None):
-        for size in range(min(n, setting.m) + 1):
-            for ordering in itertools.permutations(range(n), size):
-                if skip in ordering:
-                    continue
-                out = np.zeros(n)
-                for pos, i in enumerate(ordering):
-                    out[i] = (setting.qualities[i]
-                              * setting.externality_factor(i, ordering[:pos])
-                              * reports[i])
-                yield ordering, out
+        for ordering, clicks in _gim_orderings(setting, skip):
+            out = np.zeros(n)
+            for i, c in zip(ordering, clicks):
+                out[i] = c * reports[i]
+            yield ordering, out, clicks
 
-    best, best_out, best_w = (), np.zeros(n), 0.0
-    for ordering, out in welfares():
+    best, best_out, best_w, best_clicks = (), np.zeros(n), 0.0, []
+    for ordering, out, clicks in welfares():
         if float(out.sum()) > best_w + 1e-15:
-            best, best_out, best_w = ordering, out, float(out.sum())
+            best, best_out, best_w, best_clicks = ordering, out, float(out.sum()), clicks
     payments = np.zeros(n)
     for i in best:
-        others = max([0.0] + [float(out.sum()) for _, out in welfares(skip=i)])
+        others = max([0.0] + [float(out.sum()) for _, out, _ in welfares(skip=i)])
         payments[i] = others - (best_w - best_out[i])
-    return best, best_w, payments
+    return best, best_w, payments, best_clicks
+
+
+def gim_max_clicks_reference(setting: GimSetting) -> float:
+    """Largest expected click count of an externality setting, each
+    ordering's click rates added one slot at a time from the top."""
+    best = 0.0
+    for _, clicks in _gim_orderings(setting):
+        total = 0.0
+        for c in clicks:
+            total += c
+        best = max(best, total)
+    return best
 
 
 def gim_cell(setting: GimSetting, i: int, k: int, tied: int, above: int,

@@ -3,6 +3,9 @@
 SciPy is a test dependency: the suite checks the in-repo assignment solver
 against ``scipy.optimize.linear_sum_assignment``, but no program module may
 import it, since loading it more than doubles a process's import footprint.
+
+The direct simulator is the oracle the action-graph path is checked
+against, so the modules it lives in share no code with that path.
 """
 
 import ast
@@ -50,3 +53,29 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The posauction modules that ``path`` imports, by short name."""
+    full = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            full += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["posauction" if node.level else None, node.module]))
+            full += ([base] if node.module else
+                     [f"{base}.{alias.name}" for alias in node.names])
+    return {name.split(".")[1] for name in full if name.startswith("posauction.")}
+
+
+@pytest.mark.parametrize("module", ["models", "mechanisms", "metrics"])
+def test_oracle_modules_import_nothing_from_the_game_path(module):
+    assert _package_imports(PACKAGE / f"{module}.py").isdisjoint(
+        {"agg", "encoders", "solver"})
+
+
+def test_package_imports_are_read_in_every_form(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("from .agg import x\nfrom . import solver\n"
+                    "import posauction.encoders\nfrom posauction.models import y\n")
+    assert _package_imports(path) == {"agg", "solver", "encoders", "models"}

@@ -617,6 +617,13 @@ def test_cli_error_paths(tmp_path, capsys):
                      str(tmp_path / "o"), "--quiet"]) == 2
     assert "config error: --jobs" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+    taken = tmp_path / "taken"
+    taken.write_text("x")
+    for out, reason in ((taken, "File exists"), (taken / "o", "Not a directory")):
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot use --out {out} as the output directory: {reason}\n")
+    assert taken.read_text() == "x"
 
 
 def test_describe_eos_reports_identical_rows(tmp_path):

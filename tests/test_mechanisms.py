@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_assignment_welfare, gim_vcg_reference
+from oracles import (brute_force_assignment_welfare, gim_max_clicks_reference,
+                     gim_vcg_reference)
 from posauction.mechanisms import (ROUNDING_RULES, TIE_LOTTERIES, TIE_RULES,
                                    MechanismSpec, bidder_weights,
                                    linear_sum_assignment, max_clicks,
@@ -319,22 +320,58 @@ def _gim_settings():
                         sample_setting(spec, n, m, rng), 7)
 
 
+def _wide_gim_settings():
+    """One setting per externality model at n = 8 and 9 (m = 3), widths at
+    which numpy's 1-D sum stops adding in plain order."""
+    for name in ("cascade-ln", "hybrid-uni", "gim-ln"):
+        for n in (8, 9):
+            yield f"{name}/n={n}/m=3", normalize_setting(
+                sample_setting(DistributionSpec.from_name(name), n, 3,
+                               np.random.default_rng(n)), 7)
+
+
 def test_gim_vcg_matches_per_skip_enumeration():
-    # vcg enumerates the orderings once and reads every bidder's Clarke term
-    # from that one list; the reference enumerates afresh per bidder
+    # vcg reads every bidder's Clarke term and click rate from the setting's
+    # one ordering table; the reference enumerates afresh per bidder
     kinds = set()
-    for label, s in _gim_settings():
+    for label, s in itertools.chain(_gim_settings(), _wide_gim_settings()):
         kinds.add(s.model_kind)
         for discretize in (None, 7, 2):
             reports = (s.values if discretize is None
                        else np.clip(np.floor(s.values + 0.5), 0.0, float(discretize)))
-            ordering, welfare, payments = gim_vcg_reference(s, reports)
+            ordering, welfare, payments, clicks = gim_vcg_reference(s, reports)
             assert max_welfare(s, values=reports) == (ordering, welfare), label
             out = vcg(s, discretize=discretize)
             assert out.payments_total.tolist() == payments.tolist(), label
             placed = [i for i in range(s.n) if out.slot_lottery[i][0][0] > 0]
             assert sorted(placed, key=lambda i: out.slot_lottery[i][0][0]) == list(ordering)
+            assert [out.slot_lottery[i][0][1] for i in ordering] == clicks, label
     assert kinds == {"cascade", "hybrid", "gim"}
+
+
+def test_gim_max_clicks_adds_each_ordering_in_slot_order():
+    for label, s in itertools.chain(_gim_settings(), _wide_gim_settings()):
+        assert max_clicks(s) == gim_max_clicks_reference(s), label
+
+
+def test_gim_optimizers_and_vcg_share_one_ordering_table(monkeypatch):
+    s = normalize_setting(sample_setting(DistributionSpec.from_name("gim-uni"), 5, 5,
+                                         np.random.default_rng(4)), 7)
+    calls = [0]
+    factor = GimSetting.externality_factor
+
+    def counted(self, i, above):
+        calls[0] += 1
+        return factor(self, i, above)
+
+    monkeypatch.setattr(GimSetting, "externality_factor", counted)
+    max_welfare(s)
+    first = calls[0]
+    max_clicks(s)
+    vcg(s)
+    vcg(s, discretize=7)
+    assert first > 0
+    assert calls[0] <= first
 
 
 # --------------------------------------------------------------------------
